@@ -23,6 +23,10 @@
 #            on under TSan, so this leg also runs the runtime lock-order
 #            detector across every test.
 #   ubsan  — UndefinedBehaviorSanitizer build + full test suite.
+#   asan   — AddressSanitizer + UBSan build + full test suite: catches
+#            out-of-bounds and use-after-free the other legs cannot, e.g.
+#            in the unaligned 32-byte loads and scalar tails of the vector
+#            GF(2^8) kernels.
 #   chaos  — fault-injection tests swept over several seeds (plain + tsan).
 #   crash  — crash-point chaos over a wider seed set (plain + tsan), plus
 #            the crash-restart recovery bench (BENCH_crash_recovery.json).
@@ -145,6 +149,11 @@ echo "=== ubsan build ==="
 cmake -B build-ubsan -S . -DDPC_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$JOBS"
 ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
+
+echo "=== asan+ubsan build ==="
+cmake -B build-asan -S . -DDPC_SANITIZE=address,undefined >/dev/null
+cmake --build build-asan -j "$JOBS"
+ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "=== chaos stage ==="
 for seed in "${CHAOS_SEEDS[@]}"; do

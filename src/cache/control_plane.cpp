@@ -492,6 +492,9 @@ DpuCacheControl::PassResult DpuCacheControl::prefetch(std::uint64_t inode,
       continue;
     }
 
+    // The backend read stays under the bucket lock: a write that bypassed
+    // the cache invalidates the page once it landed, and that invalidate
+    // waiting on this lock is what keeps a pre-write read from surviving.
     if (!backend_->read_page(inode, lpn, scratch_, res.cost)) {
       write_unlock(free_slot, res.cost);
       unlock_bucket(bucket, res.cost);

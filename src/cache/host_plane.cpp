@@ -64,7 +64,9 @@ HostCachePlane::HostCachePlane(pcie::MemoryRegion& host,
       layout_(&layout),
       owned_registry_(registry == nullptr ? std::make_unique<obs::Registry>()
                                           : nullptr),
-      stats_(registry != nullptr ? *registry : *owned_registry_) {}
+      stats_(registry != nullptr ? *registry : *owned_registry_),
+      fill_gen_(std::make_unique<FillGen[]>(
+          layout.geometry().buckets)) {}
 
 void HostCachePlane::lock_bucket(std::uint32_t bucket) {
   sim::schedhook::point("cache.bucket_lock");
@@ -357,6 +359,7 @@ HostCachePlane::WriteResult HostCachePlane::write(
   const std::uint32_t bucket = layout_->bucket_of(inode, lpn);
   lock_bucket(bucket);
 
+  fill_gen_[bucket].gen.fetch_add(1);
   std::uint32_t entry;
   bool fresh = false;
   if (const auto found = find_locked(bucket, inode, lpn)) {
@@ -422,11 +425,21 @@ HostCachePlane::WriteResult HostCachePlane::write(
   return WriteResult::kOk;
 }
 
+std::uint64_t HostCachePlane::fill_ticket(std::uint64_t inode,
+                                          std::uint64_t lpn) const {
+  return fill_gen_[layout_->bucket_of(inode, lpn)].gen.load();
+}
+
 void HostCachePlane::fill_clean(std::uint64_t inode, std::uint64_t lpn,
-                                std::span<const std::byte> src) {
+                                std::span<const std::byte> src,
+                                std::uint64_t ticket) {
   DPC_CHECK(src.size() <= layout_->geometry().page_size);
   const std::uint32_t bucket = layout_->bucket_of(inode, lpn);
   lock_bucket(bucket);
+  if (fill_gen_[bucket].gen.load() != ticket) {
+    unlock_bucket(bucket);  // a write since the ticket: src may be stale
+    return;
+  }
   if (find_locked(bucket, inode, lpn)) {
     unlock_bucket(bucket);  // already cached (maybe dirtier) — keep it
     return;
@@ -469,6 +482,7 @@ void HostCachePlane::fill_clean(std::uint64_t inode, std::uint64_t lpn,
 bool HostCachePlane::invalidate(std::uint64_t inode, std::uint64_t lpn) {
   const std::uint32_t bucket = layout_->bucket_of(inode, lpn);
   lock_bucket(bucket);
+  fill_gen_[bucket].gen.fetch_add(1);
   const auto found = find_locked(bucket, inode, lpn);
   if (!found) {
     unlock_bucket(bucket);

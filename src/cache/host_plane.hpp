@@ -13,6 +13,7 @@
 // by raising the header's need-evict flag and reporting kNoFreeEntry.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -76,14 +77,22 @@ class HostCachePlane {
   WriteResult write(std::uint64_t inode, std::uint64_t lpn,
                     std::span<const std::byte> src);
 
+  /// Ticket for a later fill_clean of <inode,lpn>: take it *before* the
+  /// read that produces the fill's bytes is issued to the DPU.
+  std::uint64_t fill_ticket(std::uint64_t inode, std::uint64_t lpn) const;
+
   /// Inserts a *clean* copy after a read miss was served by the DPU. Never
   /// clobbers an existing (possibly dirty) entry; silently does nothing if
-  /// the bucket has no free slot (clean fills are opportunistic).
+  /// the bucket has no free slot (clean fills are opportunistic), or if a
+  /// write() or invalidate() hit the page's bucket since `ticket` was taken
+  /// — the bytes may then predate that write.
   void fill_clean(std::uint64_t inode, std::uint64_t lpn,
-                  std::span<const std::byte> src);
+                  std::span<const std::byte> src, std::uint64_t ticket);
 
   /// Drops the page if present and clean/dirty-unlocked (used by truncate
-  /// and DIRECT_IO invalidation). Returns true if an entry was freed.
+  /// and write-through invalidation). Returns true if an entry was freed.
+  /// Either way it voids the outstanding fill tickets of the page's bucket,
+  /// so call it after the write that made cached copies stale has landed.
   bool invalidate(std::uint64_t inode, std::uint64_t lpn);
 
   /// Drops every cached page of `inode` with lpn >= first_lpn (truncate
@@ -144,6 +153,15 @@ class HostCachePlane {
   const CacheLayout* layout_;
   std::unique_ptr<obs::Registry> owned_registry_;  // when none was supplied
   HostCacheStats stats_;
+  // Per-bucket fill generation: bumped under the bucket lock by every
+  // write() and invalidate(), compared by fill_clean() against its ticket.
+  // Host-only state (the DPU never fills through this plane), so it lives
+  // in host memory outside the shared cache layout; one cache line per
+  // bucket, like the bucket lock words, so writers never false-share.
+  struct alignas(64) FillGen {
+    std::atomic<std::uint64_t> gen{0};
+  };
+  std::unique_ptr<FillGen[]> fill_gen_;
 };
 
 }  // namespace dpc::cache

@@ -727,6 +727,16 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
     }
   }
 
+  // Fill tickets are taken before the read is issued: a write that lands
+  // while it is in flight voids them, so its pre-write bytes are not cached.
+  const bool fill = !direct && host_cache_ && page_aligned;
+  std::vector<std::uint64_t> tickets;
+  if (fill) {
+    for (std::uint64_t at = 0; at < dst.size(); at += kCachePage)
+      tickets.push_back(
+          host_cache_->fill_ticket(ino, (offset + at) / kCachePage));
+  }
+
   nvme::IniDriver::Request r;
   r.target = nvme::DispatchTarget::kStandalone;
   r.tenant = thread_tenant();
@@ -755,10 +765,11 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
     std::memset(dst.data() + io.bytes, 0, dst.size() - io.bytes);
 
   // Opportunistic clean fill so re-reads hit host memory.
-  if (!direct && host_cache_ && page_aligned) {
+  if (fill) {
     for (std::uint64_t at = 0; at + kCachePage <= io.bytes; at += kCachePage) {
       host_cache_->fill_clean(ino, (offset + at) / kCachePage,
-                              dst.subspan(at, kCachePage));
+                              dst.subspan(at, kCachePage),
+                              tickets[at / kCachePage]);
     }
     cache_miss_path_ns_->record(io.cost);
   }
@@ -857,8 +868,13 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
     auto& known = size_cache_[ino];
     known = std::max(known, offset + src.size());
   }
-  if (direct && host_cache_ && page_aligned) {
-    // Keep the cache coherent with direct writes.
+  if (host_cache_ && page_aligned) {
+    // The write bypassed the cache (DIRECT_IO, or no free entry above):
+    // drop every cached copy of its pages, or a DPU prefetch that read a
+    // page before the write landed would stay cached as a clean hit. No
+    // later prefetch can outlive this drop: prefetch() reads the backend
+    // while holding the page's bucket lock, which invalidate() waits for.
+    // The drop also voids the fill tickets of host read misses in flight.
     for (std::uint64_t at = 0; at < src.size(); at += kCachePage)
       host_cache_->invalidate(ino, (offset + at) / kCachePage);
   }

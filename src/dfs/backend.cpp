@@ -627,6 +627,12 @@ bool striped_write(DataServers& ds, const ec::ReedSolomon& rs,
   DPC_CHECK(rs.data_shards() == k && rs.parity_shards() == m);
   const std::uint64_t stripe_bytes = std::uint64_t{unit} * k;
 
+  // Full-stripe scratch, reused by every stripe of the write: the data
+  // views and one m-shard parity buffer (allocated on first use).
+  std::vector<std::span<const std::byte>> dviews(static_cast<std::size_t>(k));
+  std::vector<std::byte> parity_buf;
+  std::vector<std::span<std::byte>> pviews;
+
   std::size_t done = 0;
   while (done < data.size()) {
     const std::uint64_t pos = offset + done;
@@ -638,21 +644,22 @@ bool striped_write(DataServers& ds, const ec::ReedSolomon& rs,
     // (the classic full-stripe-write optimization; the RMW below is only
     // for sub-stripe updates).
     if (in_stripe == 0 && data.size() - done >= stripe_bytes) {
-      std::vector<std::span<const std::byte>> dviews;
-      dviews.reserve(static_cast<std::size_t>(k));
-      for (int d2 = 0; d2 < k; ++d2) {
-        dviews.push_back(data.subspan(done + static_cast<std::size_t>(d2) * unit, unit));
+      if (pviews.empty()) {
+        parity_buf.resize(std::size_t{unit} * static_cast<std::size_t>(m));
+        for (int p = 0; p < m; ++p)
+          pviews.emplace_back(
+              parity_buf.data() + static_cast<std::size_t>(p) * unit, unit);
       }
-      std::vector<std::vector<std::byte>> parity(
-          static_cast<std::size_t>(m), std::vector<std::byte>(unit));
-      std::vector<std::span<std::byte>> pviews(parity.begin(), parity.end());
+      for (int d2 = 0; d2 < k; ++d2)
+        dviews[static_cast<std::size_t>(d2)] =
+            data.subspan(done + static_cast<std::size_t>(d2) * unit, unit);
       rs.encode(dviews, pviews);
       for (int d2 = 0; d2 < k; ++d2)
         ds.write_shard(meta.ino, stripe, static_cast<std::uint32_t>(d2),
                        dviews[static_cast<std::size_t>(d2)], prof);
       for (int p = 0; p < m; ++p)
         ds.write_shard(meta.ino, stripe, static_cast<std::uint32_t>(k + p),
-                       parity[static_cast<std::size_t>(p)], prof);
+                       pviews[static_cast<std::size_t>(p)], prof);
       done += stripe_bytes;
       continue;
     }

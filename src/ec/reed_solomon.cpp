@@ -1,5 +1,7 @@
 #include "ec/reed_solomon.hpp"
 
+#include <algorithm>
+
 #include "sim/check.hpp"
 
 namespace dpc::ec {
@@ -17,25 +19,14 @@ void ReedSolomon::encode(
     std::span<const std::span<std::byte>> parity) const {
   DPC_CHECK(data.size() == static_cast<std::size_t>(k_));
   DPC_CHECK(parity.size() == static_cast<std::size_t>(m_));
-  const std::size_t len = data[0].size();
-  for (const auto& s : data) DPC_CHECK(s.size() == len);
-  for (const auto& s : parity) DPC_CHECK(s.size() == len);
-
-  const auto& gf = Gf256::instance();
-  for (int p = 0; p < m_; ++p) {
-    const std::size_t row = static_cast<std::size_t>(k_ + p);
-    gf.mul_set(parity[static_cast<std::size_t>(p)], data[0],
-               encode_matrix_.at(row, 0));
-    for (int d = 1; d < k_; ++d) {
-      gf.mul_acc(parity[static_cast<std::size_t>(p)],
-                 data[static_cast<std::size_t>(d)],
-                 encode_matrix_.at(row, static_cast<std::size_t>(d)));
-    }
-  }
+  // The parity rows k..k+m-1 of the encode matrix are contiguous.
+  Gf256::instance().mul_rows(encode_matrix_.row(static_cast<std::size_t>(k_)),
+                             data, parity);
 }
 
 void ReedSolomon::reconstruct(std::span<const std::span<std::byte>> shards,
                               std::span<const bool> present) const {
+  const auto k = static_cast<std::size_t>(k_);
   const auto total = static_cast<std::size_t>(k_ + m_);
   DPC_CHECK(shards.size() == total && present.size() == total);
   const std::size_t len = shards[0].size();
@@ -43,72 +34,73 @@ void ReedSolomon::reconstruct(std::span<const std::span<std::byte>> shards,
 
   std::size_t have = 0;
   for (bool p : present) have += p ? 1 : 0;
-  DPC_CHECK_MSG(have >= static_cast<std::size_t>(k_),
+  DPC_CHECK_MSG(have >= k,
                 "need " << k_ << " shards, only " << have << " present");
   if (have == total) return;
 
   // Pick the first k present shards; their encode-matrix rows form a k x k
   // submatrix whose inverse maps them back to the data shards.
   std::vector<std::size_t> rows;
-  rows.reserve(static_cast<std::size_t>(k_));
-  for (std::size_t i = 0; i < total && rows.size() < static_cast<std::size_t>(k_);
-       ++i)
+  rows.reserve(k);
+  for (std::size_t i = 0; i < total && rows.size() < k; ++i)
     if (present[i]) rows.push_back(i);
 
-  GfMatrix sub(static_cast<std::size_t>(k_), static_cast<std::size_t>(k_));
-  for (std::size_t r = 0; r < rows.size(); ++r)
-    for (std::size_t c = 0; c < static_cast<std::size_t>(k_); ++c)
+  GfMatrix sub(k, k);
+  for (std::size_t r = 0; r < k; ++r)
+    for (std::size_t c = 0; c < k; ++c)
       sub.at(r, c) = encode_matrix_.at(rows[r], c);
   const GfMatrix decode = sub.inverted();
 
   const auto& gf = Gf256::instance();
-  // Rebuild missing *data* shards first.
-  std::vector<std::vector<std::byte>> rebuilt(
-      static_cast<std::size_t>(k_));
-  for (int d = 0; d < k_; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    if (present[di]) continue;
-    rebuilt[di].assign(len, std::byte{0});
-    for (std::size_t j = 0; j < static_cast<std::size_t>(k_); ++j) {
-      gf.mul_acc(rebuilt[di], shards[rows[j]], decode.at(di, j));
-    }
+  std::vector<std::uint8_t> coeffs;
+  std::vector<std::span<std::byte>> missing;
+  // Rebuild missing *data* shards first, straight from the survivors (the
+  // outputs are absent shards, so they never alias an input).
+  for (std::size_t d = 0; d < k; ++d) {
+    if (present[d]) continue;
+    coeffs.insert(coeffs.end(), decode.row(d), decode.row(d) + k);
+    missing.push_back(shards[d]);
   }
-  for (int d = 0; d < k_; ++d) {
-    const auto di = static_cast<std::size_t>(d);
-    if (!rebuilt[di].empty())
-      std::copy(rebuilt[di].begin(), rebuilt[di].end(), shards[di].begin());
+  if (!missing.empty()) {
+    std::vector<std::span<const std::byte>> survivors;
+    survivors.reserve(k);
+    for (const std::size_t r : rows) survivors.emplace_back(shards[r]);
+    gf.mul_rows(coeffs.data(), survivors, missing);
   }
 
   // Then re-encode any missing parity from the (now complete) data shards.
-  for (int p = 0; p < m_; ++p) {
-    const auto pi = static_cast<std::size_t>(k_ + p);
-    if (present[pi]) continue;
-    const std::size_t row = pi;
-    gf.mul_set(shards[pi], shards[0], encode_matrix_.at(row, 0));
-    for (int d = 1; d < k_; ++d)
-      gf.mul_acc(shards[pi], shards[static_cast<std::size_t>(d)],
-                 encode_matrix_.at(row, static_cast<std::size_t>(d)));
+  coeffs.clear();
+  missing.clear();
+  for (std::size_t p = k; p < total; ++p) {
+    if (present[p]) continue;
+    coeffs.insert(coeffs.end(), encode_matrix_.row(p),
+                  encode_matrix_.row(p) + k);
+    missing.push_back(shards[p]);
+  }
+  if (!missing.empty()) {
+    const std::vector<std::span<const std::byte>> data(shards.begin(),
+                                                       shards.begin() + k_);
+    gf.mul_rows(coeffs.data(), data, missing);
   }
 }
 
 bool ReedSolomon::verify(
     std::span<const std::span<const std::byte>> shards) const {
-  const auto total = static_cast<std::size_t>(k_ + m_);
-  DPC_CHECK(shards.size() == total);
+  const auto k = static_cast<std::size_t>(k_);
+  const auto m = static_cast<std::size_t>(m_);
+  DPC_CHECK(shards.size() == k + m);
   const std::size_t len = shards[0].size();
 
-  const auto& gf = Gf256::instance();
-  std::vector<std::byte> expect(len);
-  for (int p = 0; p < m_; ++p) {
-    const std::size_t row = static_cast<std::size_t>(k_ + p);
-    gf.mul_set(expect, shards[0], encode_matrix_.at(row, 0));
-    for (int d = 1; d < k_; ++d)
-      gf.mul_acc(expect, shards[static_cast<std::size_t>(d)],
-                 encode_matrix_.at(row, static_cast<std::size_t>(d)));
-    if (!std::equal(expect.begin(), expect.end(),
-                    shards[row].begin()))
+  std::vector<std::byte> expect(m * len);
+  std::vector<std::span<std::byte>> views;
+  views.reserve(m);
+  for (std::size_t p = 0; p < m; ++p)
+    views.emplace_back(expect.data() + p * len, len);
+  Gf256::instance().mul_rows(encode_matrix_.row(k), shards.first(k), views);
+  for (std::size_t p = 0; p < m; ++p)
+    if (!std::equal(views[p].begin(), views[p].end(), shards[k + p].begin(),
+                    shards[k + p].end()))
       return false;
-  }
   return true;
 }
 

@@ -99,18 +99,39 @@ TEST_F(HostPlaneFixture, BucketFullRaisesNeedEvict) {
 
 TEST_F(HostPlaneFixture, FillCleanDoesNotClobberDirty) {
   ASSERT_EQ(plane.write(3, 3, page(7)), HostCachePlane::WriteResult::kOk);
-  plane.fill_clean(3, 3, page(8));  // must keep the dirty copy
+  plane.fill_clean(3, 3, page(8), plane.fill_ticket(3, 3));  // must keep the dirty copy
   std::vector<std::byte> out(4096);
   ASSERT_TRUE(plane.read(3, 3, out));
   EXPECT_EQ(out[0], std::byte{7});
 }
 
 TEST_F(HostPlaneFixture, FillCleanInsertsCleanCopy) {
-  plane.fill_clean(4, 4, page(9));
+  plane.fill_clean(4, 4, page(9), plane.fill_ticket(4, 4));
   std::vector<std::byte> out(4096);
   ASSERT_TRUE(plane.read(4, 4, out));
   EXPECT_EQ(out[0], std::byte{9});
   EXPECT_EQ(plane.free_pages(), 63u);
+}
+
+TEST_F(HostPlaneFixture, FillAfterInterveningWriteOrInvalidateIsDropped) {
+  // A read miss takes its ticket, then a write-through of the page lands
+  // and invalidates before the miss's bytes arrive: those bytes predate the
+  // write and must not be cached. A cached write() voids tickets likewise.
+  const auto t1 = plane.fill_ticket(6, 6);
+  EXPECT_FALSE(plane.invalidate(6, 6));  // nothing cached, ticket voided
+  plane.fill_clean(6, 6, page(1), t1);
+  std::vector<std::byte> out(4096);
+  EXPECT_FALSE(plane.read(6, 6, out));
+
+  const auto t2 = plane.fill_ticket(6, 6);
+  ASSERT_EQ(plane.write(6, 6, page(2)), HostCachePlane::WriteResult::kOk);
+  ASSERT_TRUE(plane.invalidate(6, 6));
+  plane.fill_clean(6, 6, page(1), t2);
+  EXPECT_FALSE(plane.read(6, 6, out));
+
+  plane.fill_clean(6, 6, page(3), plane.fill_ticket(6, 6));
+  ASSERT_TRUE(plane.read(6, 6, out));
+  EXPECT_EQ(out[0], std::byte{3});
 }
 
 TEST_F(HostPlaneFixture, InvalidateFreesEntry) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cerrno>
 #include <thread>
 
@@ -239,6 +240,147 @@ TEST(DpcSystem, ConcurrentThreadsWithWorkers) {
   for (auto& t : ts) t.join();
   sys.stop_dpu();
   EXPECT_EQ(errors.load(), 0);
+}
+
+TEST(DpcSystem, WriteThroughRacingPrefetchLeavesNoStaleCachedPage) {
+  // A buffered write that finds its bucket full goes write-through to the
+  // DPU. A DPU prefetch of the same page that read the old bytes from KVFS
+  // before that write landed must not leave them cached as a clean hit.
+  // Worker mode with a 1024-page cache, where buckets are nearly always
+  // full. Each cell is six pages: the reader misses on the first two, which
+  // makes the DPU prefetch the other four, while the writer rewrites those
+  // four; afterwards a buffered read of each must see the writer's bytes.
+  DpcOptions o;
+  o.cache_geo.total_pages = 1024;
+  o.with_dfs = false;
+  // This test is about cache coherence, not the NVMe deadline: under a
+  // sanitizer's slowdown the default 100 ms deadline fires, and the late
+  // payload DMA of an aborted read then races the retry's reuse of its
+  // queue slot (a separate, known defect).
+  o.nvme_timeout_ms = 10000;
+  DpcSystem sys(o);
+  sys.start_dpu();
+  constexpr std::uint64_t kPage = 4096;
+  constexpr std::uint64_t kCell = 6;
+  constexpr std::uint64_t kCells = 400;  // a 9.4 MiB file, > 2x the cache
+  constexpr int kRounds = 4;
+  const auto f = sys.create(kvfs::kRootIno, "wt-race");
+  ASSERT_TRUE(f.ok());
+  auto content = [](std::uint64_t page, std::uint64_t version) {
+    return bytes(kPage, page * 1000 + version);
+  };
+  for (std::uint64_t p = 0; p < kCells * kCell; p += 64) {
+    std::vector<std::byte> chunk;
+    for (std::uint64_t q = p; q < p + 64; ++q) {
+      const auto c = content(q, 0);
+      chunk.insert(chunk.end(), c.begin(), c.end());
+    }
+    ASSERT_TRUE(sys.write(f.ino, p * kPage, chunk, true).ok());
+  }
+
+  std::barrier sync(2);
+  std::atomic<int> reader_errors{0};
+  int writer_errors = 0;
+  int stale = 0;
+  std::thread reader([&] {
+    std::vector<std::byte> got(kPage);
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::uint64_t cell = 0; cell < kCells; ++cell) {
+        sync.arrive_and_wait();
+        for (std::uint64_t p = cell * kCell; p < cell * kCell + 2; ++p) {
+          if (!sys.read(f.ino, p * kPage, got, false).ok() ||
+              got != content(p, 0))
+            ++reader_errors;
+        }
+        sync.arrive_and_wait();
+      }
+    }
+  });
+  std::vector<std::byte> got(kPage);
+  for (int round = 1; round <= kRounds; ++round) {
+    for (std::uint64_t cell = 0; cell < kCells; ++cell) {
+      sync.arrive_and_wait();
+      // Failures are counted, not asserted: returning early would leave
+      // the reader blocked on the barrier.
+      const auto version = static_cast<std::uint64_t>(round);
+      for (std::uint64_t p = cell * kCell + 2; p < (cell + 1) * kCell; ++p)
+        if (!sys.write(f.ino, p * kPage, content(p, version), false).ok())
+          ++writer_errors;
+      sync.arrive_and_wait();
+      for (std::uint64_t p = cell * kCell + 2; p < (cell + 1) * kCell; ++p) {
+        if (!sys.read(f.ino, p * kPage, got, false).ok())
+          ++writer_errors;
+        else if (got != content(p, version))
+          ++stale;
+      }
+    }
+  }
+  reader.join();
+  sys.stop_dpu();
+  EXPECT_EQ(reader_errors.load(), 0);
+  EXPECT_EQ(writer_errors, 0);
+  EXPECT_EQ(stale, 0) << "buffered reads returned a pre-write page";
+  EXPECT_GT(sys.metrics().counter("cache.host/write_stalls").load(), 0u)
+      << "no write went write-through; the race was not exercised";
+}
+
+TEST(DpcSystem, DirectWriteRacingReadMissLeavesNoStaleCachedPage) {
+  // A buffered read that misses fetches the pages from the DPU and then
+  // caches them clean. A DIRECT_IO write of the same pages that lands and
+  // invalidates between that fetch and the fill must still win: afterwards
+  // a buffered read has to return the write's bytes, not the fetched ones.
+  DpcOptions o = small_opts();
+  o.with_dfs = false;
+  o.cache_geo = {4096, cache::CacheMode::kWrite, 1024, 64};
+  // Cache coherence is under test, not the NVMe deadline, which a
+  // sanitizer's slowdown can make fire.
+  o.nvme_timeout_ms = 10000;
+  DpcSystem sys(o);
+  sys.start_dpu();
+  constexpr std::uint64_t kPage = 4096;
+  constexpr std::uint64_t kPagesPerIo = 8;
+  constexpr std::uint64_t kSlots = 32;  // a 1 MiB file, a quarter of cache
+  constexpr int kIters = 1500;
+  const auto f = sys.create(kvfs::kRootIno, "fill-race");
+  ASSERT_TRUE(f.ok());
+  const std::uint64_t io = kPage * kPagesPerIo;
+  ASSERT_TRUE(sys.write(f.ino, 0, bytes(io * kSlots, 1), true).ok());
+
+  std::barrier sync(2);
+  std::atomic<int> reader_errors{0};
+  std::thread reader([&] {
+    std::vector<std::byte> got(io);
+    for (int i = 0; i < kIters; ++i) {
+      sync.arrive_and_wait();
+      const std::uint64_t slot = static_cast<std::uint64_t>(i) % kSlots;
+      if (!sys.read(f.ino, slot * io, got, false).ok()) ++reader_errors;
+      sync.arrive_and_wait();
+    }
+  });
+  int writer_errors = 0;
+  int stale = 0;
+  std::vector<std::byte> got(io);
+  for (int i = 0; i < kIters; ++i) {
+    const std::uint64_t slot = static_cast<std::uint64_t>(i) % kSlots;
+    const auto seed = static_cast<std::uint64_t>(i) * 2 + 100;
+    // Uncache the slot first, so the reader's read below is a miss. Failures
+    // are counted, not asserted: returning early would strand the reader.
+    if (!sys.write(f.ino, slot * io, bytes(io, seed), true).ok())
+      ++writer_errors;
+    sync.arrive_and_wait();
+    const auto want = bytes(io, seed + 1);
+    if (!sys.write(f.ino, slot * io, want, true).ok()) ++writer_errors;
+    sync.arrive_and_wait();
+    if (!sys.read(f.ino, slot * io, got, false).ok())
+      ++writer_errors;
+    else if (got != want)
+      ++stale;
+  }
+  reader.join();
+  sys.stop_dpu();
+  EXPECT_EQ(reader_errors.load(), 0);
+  EXPECT_EQ(writer_errors, 0);
+  EXPECT_EQ(stale, 0) << "buffered reads returned a pre-write page";
 }
 
 TEST(DpcSystem, DfsPathThroughDispatchBit) {

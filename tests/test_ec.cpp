@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "sim/check.hpp"
@@ -56,6 +58,307 @@ TEST(Gf256, MulAccDistributes) {
   gf.mul_acc(dst, src, 3);
   // x ^ x = 0.
   for (auto b : dst) EXPECT_EQ(b, std::byte{0});
+}
+
+// ------------------------------------------- vector vs scalar kernels
+//
+// The dispatched region kernels (AVX2 vpshufb when the CPU has it) must be
+// byte-identical to the portable scalar reference for every coefficient,
+// length remainder and alignment, and must never write outside dst.
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<std::byte> v(n);
+  for (auto& b : v) b = static_cast<std::byte>(rng.next_below(256));
+  return v;
+}
+
+constexpr std::size_t kKernelLens[] = {0,  1,  31,   32,   33,  63,
+                                       64, 65, 4095, 8192, 8193};
+
+TEST(Gf256, BackendNameIsKnown) {
+  const std::string name = gf256_backend();
+  EXPECT_TRUE(name == "avx2" || name == "scalar") << name;
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_EQ(name, "avx2");
+  }
+#endif
+}
+
+// The scalar reference for Gf256::mul_rows: each output zeroed, then every
+// input multiply-accumulated into it through the portable kernel.
+void scalar_dot(const std::uint8_t* coeffs,
+                const std::vector<std::span<const std::byte>>& in,
+                const std::vector<std::span<std::byte>>& out) {
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    std::fill(out[j].begin(), out[j].end(), std::byte{0});
+    for (std::size_t i = 0; i < in.size(); ++i)
+      gf256_mul_acc_scalar(out[j], in[i], coeffs[j * in.size() + i]);
+  }
+}
+
+TEST(Gf256, ScalarKernelMatchesFieldMul) {
+  // The nibble tables against the exp/log multiply, every c times every x.
+  const auto& gf = Gf256::instance();
+  std::vector<std::byte> x(256);
+  for (unsigned v = 0; v < 256; ++v) x[v] = static_cast<std::byte>(v);
+  std::vector<std::byte> out(256);
+  for (unsigned c = 0; c < 256; ++c) {
+    const auto uc = static_cast<std::uint8_t>(c);
+    std::fill(out.begin(), out.end(), std::byte{0});
+    gf256_mul_acc_scalar(out, x, uc);
+    for (unsigned v = 0; v < 256; ++v)
+      ASSERT_EQ(static_cast<std::uint8_t>(out[v]),
+                gf.mul(uc, static_cast<std::uint8_t>(v)))
+          << c << "*" << v;
+  }
+}
+
+TEST(Gf256, DispatchedKernelsMatchScalarForEveryCoefficient) {
+  const auto& gf = Gf256::instance();
+  const auto src_all = random_bytes(8193, 11);
+  const auto dst_all = random_bytes(8193, 12);
+  for (const std::size_t len : kKernelLens) {
+    const auto src = std::span<const std::byte>(src_all).first(len);
+    for (unsigned c = 0; c < 256; ++c) {
+      const auto uc = static_cast<std::uint8_t>(c);
+      std::vector<std::byte> got(dst_all.begin(), dst_all.begin() + len);
+      std::vector<std::byte> want = got;
+      gf.mul_acc(got, src, uc);
+      gf256_mul_acc_scalar(want, src, uc);
+      ASSERT_EQ(got, want) << "mul_acc len=" << len << " c=" << c;
+      // One-input, one-output mul_rows: the fused kernel's dst = c·src.
+      const std::span<const std::byte> in[] = {src};
+      const std::span<std::byte> out[] = {got};
+      gf.mul_rows(&uc, in, out);
+      std::fill(want.begin(), want.end(), std::byte{0});
+      gf256_mul_acc_scalar(want, src, uc);
+      ASSERT_EQ(got, want) << "mul_rows len=" << len << " c=" << c;
+    }
+  }
+}
+
+constexpr std::size_t kGuard = 64;
+constexpr std::byte kPoison{0xA5};
+
+// True when every byte of buf outside [kGuard + at, kGuard + at + len) still
+// holds the poison it was filled with.
+bool guards_intact(const std::vector<std::byte>& buf, std::size_t at,
+                   std::size_t len) {
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    if (i >= kGuard + at && i < kGuard + at + len) continue;
+    if (buf[i] != kPoison) return false;
+  }
+  return true;
+}
+
+TEST(Gf256, KernelsHandleMisalignmentAndStayInBounds) {
+  // src and dst start at every offset 0..31 inside larger buffers; the
+  // guard bytes around dst must come back untouched.
+  const auto& gf = Gf256::instance();
+  sim::Rng rng(13);
+  for (const std::size_t len : {std::size_t{1}, std::size_t{31},
+                                std::size_t{33}, std::size_t{65},
+                                std::size_t{4095}}) {
+    const auto src_buf = random_bytes(len + 32, len);
+    for (std::size_t sa = 0; sa < 32; ++sa) {
+      for (std::size_t da = 0; da < 32; ++da) {
+        const auto c = static_cast<std::uint8_t>(1 + rng.next_below(255));
+        const auto src = std::span<const std::byte>(src_buf).subspan(sa, len);
+        std::vector<std::byte> buf(kGuard + 32 + len + kGuard, kPoison);
+        std::vector<std::byte> ref(len, kPoison);
+        const auto dst = std::span<std::byte>(buf).subspan(kGuard + da, len);
+        gf.mul_acc(dst, src, c);
+        gf256_mul_acc_scalar(ref, src, c);
+        ASSERT_TRUE(std::equal(dst.begin(), dst.end(), ref.begin()))
+            << "len=" << len << " src+" << sa << " dst+" << da;
+        ASSERT_TRUE(guards_intact(buf, da, len))
+            << "guard clobbered, len=" << len << " dst+" << da;
+      }
+    }
+  }
+}
+
+TEST(Gf256, MulRowsHandlesMisalignmentAndStaysInBounds) {
+  // The fused kernel production RS runs: 1..5 outputs (5 splits into a
+  // group of four plus one) from three inputs, every input and output at
+  // its own offset inside a guarded buffer.
+  const auto& gf = Gf256::instance();
+  constexpr std::size_t kIn = 3;
+  sim::Rng rng(14);
+  for (const std::size_t len : {std::size_t{1}, std::size_t{31},
+                                std::size_t{33}, std::size_t{65},
+                                std::size_t{4095}}) {
+    std::vector<std::vector<std::byte>> src_bufs;
+    for (std::size_t i = 0; i < kIn; ++i)
+      src_bufs.push_back(random_bytes(len + 32, len * 10 + i));
+    for (std::size_t nout = 1; nout <= 5; ++nout) {
+      std::vector<std::uint8_t> coeffs(nout * kIn);
+      std::vector<std::vector<std::byte>> bufs(
+          nout, std::vector<std::byte>(kGuard + 32 + len + kGuard));
+      std::vector<std::vector<std::byte>> refs(nout,
+                                               std::vector<std::byte>(len));
+      for (std::size_t sa = 0; sa < 32; ++sa) {
+        for (std::size_t da = 0; da < 32; ++da) {
+          for (auto& c : coeffs)
+            c = static_cast<std::uint8_t>(rng.next_below(256));
+          std::vector<std::span<const std::byte>> in;
+          for (std::size_t i = 0; i < kIn; ++i)
+            in.push_back(std::span<const std::byte>(src_bufs[i])
+                             .subspan((sa + 11 * i) % 32, len));
+          std::vector<std::span<std::byte>> out, ref;
+          for (std::size_t j = 0; j < nout; ++j) {
+            std::fill(bufs[j].begin(), bufs[j].end(), kPoison);
+            out.push_back(std::span<std::byte>(bufs[j]).subspan(
+                kGuard + (da + 5 * j) % 32, len));
+            ref.push_back(refs[j]);
+          }
+          gf.mul_rows(coeffs.data(), in, out);
+          scalar_dot(coeffs.data(), in, ref);
+          for (std::size_t j = 0; j < nout; ++j) {
+            ASSERT_TRUE(std::equal(out[j].begin(), out[j].end(),
+                                   refs[j].begin()))
+                << "len=" << len << " nout=" << nout << " out " << j
+                << " src+" << sa << " dst+" << da;
+            ASSERT_TRUE(guards_intact(bufs[j], (da + 5 * j) % 32, len))
+                << "guard clobbered, len=" << len << " nout=" << nout
+                << " out " << j << " dst+" << da;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Scalar-only RS: out[j] = XOR_i coeffs[j][i] · in[i] through the portable
+// reference kernel — what the codec computes on a CPU without AVX2.
+using Shards = std::vector<std::vector<std::byte>>;
+
+void scalar_rows(const GfMatrix& m, const std::vector<std::size_t>& rows,
+                 const std::vector<const std::vector<std::byte>*>& in,
+                 const std::vector<std::vector<std::byte>*>& out) {
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    std::fill(out[j]->begin(), out[j]->end(), std::byte{0});
+    for (std::size_t i = 0; i < in.size(); ++i)
+      gf256_mul_acc_scalar(*out[j], *in[i], m.at(rows[j], i));
+  }
+}
+
+Shards scalar_encode(int k, int m, const Shards& data) {
+  const auto enc = GfMatrix::rs_encode_matrix(static_cast<std::size_t>(k),
+                                              static_cast<std::size_t>(m));
+  Shards parity(static_cast<std::size_t>(m),
+                std::vector<std::byte>(data[0].size()));
+  std::vector<std::size_t> rows;
+  std::vector<const std::vector<std::byte>*> in;
+  std::vector<std::vector<std::byte>*> out;
+  for (auto& s : data) in.push_back(&s);
+  for (int p = 0; p < m; ++p) {
+    rows.push_back(static_cast<std::size_t>(k + p));
+    out.push_back(&parity[static_cast<std::size_t>(p)]);
+  }
+  scalar_rows(enc, rows, in, out);
+  return parity;
+}
+
+using RsGeometry = std::pair<int, int>;
+// Geometries cover one, two and a split (4+1) group of fused outputs;
+// lengths are never a multiple of 32.
+constexpr RsGeometry kRsGeometries[] = {{4, 2}, {6, 3}, {10, 4}, {5, 5}};
+constexpr std::size_t kRsLens[] = {1, 31, 33, 1000, 4097, 16411};
+
+TEST(ReedSolomon, EncodeMatchesScalarReference) {
+  for (const auto& [k, m] : kRsGeometries) {
+    ReedSolomon rs(k, m);
+    for (const std::size_t len : kRsLens) {
+      Shards data;
+      for (int d = 0; d < k; ++d)
+        data.push_back(
+            random_bytes(len, len * 100 + static_cast<std::size_t>(d)));
+      Shards parity(static_cast<std::size_t>(m), std::vector<std::byte>(len));
+      std::vector<std::span<const std::byte>> dv(data.begin(), data.end());
+      std::vector<std::span<std::byte>> pv(parity.begin(), parity.end());
+      rs.encode(dv, pv);
+      EXPECT_EQ(parity, scalar_encode(k, m, data))
+          << "RS(" << k << "," << m << ") len=" << len;
+    }
+  }
+}
+
+TEST(ReedSolomon, ReconstructVerifyAndDeltaMatchScalarReference) {
+  for (const auto& [k, m] : kRsGeometries) {
+    ReedSolomon rs(k, m);
+    const auto total = static_cast<std::size_t>(k + m);
+    for (const std::size_t len : kRsLens) {
+      Shards golden;
+      for (int d = 0; d < k; ++d)
+        golden.push_back(
+            random_bytes(len, len * 7 + static_cast<std::size_t>(d)));
+      for (auto& p : scalar_encode(k, m, golden)) golden.push_back(p);
+      std::vector<std::span<const std::byte>> all(golden.begin(), golden.end());
+      EXPECT_TRUE(rs.verify(all)) << "RS(" << k << "," << m << ") len=" << len;
+
+      // Erase m shards — first the leading data shards, then the parity —
+      // and rebuild them from the scalar-encoded survivors.
+      for (const bool erase_parity : {false, true}) {
+        Shards work = golden;
+        std::unique_ptr<bool[]> present(new bool[total]);
+        for (std::size_t i = 0; i < total; ++i) {
+          const bool erased = erase_parity
+                                  ? i >= static_cast<std::size_t>(k)
+                                  : i < static_cast<std::size_t>(m);
+          present[i] = !erased;
+          if (erased)
+            std::fill(work[i].begin(), work[i].end(), std::byte{0xEE});
+        }
+        std::vector<std::span<std::byte>> views(work.begin(), work.end());
+        rs.reconstruct(views, std::span<const bool>(present.get(), total));
+        EXPECT_EQ(work, golden) << "RS(" << k << "," << m << ") len=" << len
+                                << " erase_parity=" << erase_parity;
+      }
+
+      // A flipped byte in the (scalar-loop) tail of the last parity shard.
+      golden.back().back() ^= std::byte{0x01};
+      EXPECT_FALSE(rs.verify(all)) << "RS(" << k << "," << m << ") len=" << len;
+      golden.back().back() ^= std::byte{0x01};
+
+      const auto delta = random_bytes(len, len + 5);
+      for (int p = 0; p < m; ++p) {
+        auto got = golden[static_cast<std::size_t>(k + p)];
+        auto want = got;
+        rs.apply_delta(got, p, k - 1, delta);
+        gf256_mul_acc_scalar(want, delta, rs.coeff(p, k - 1));
+        EXPECT_EQ(got, want) << "apply_delta p=" << p << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(ReedSolomon, ScalarOnlyRoundTrip) {
+  // A CPU without AVX2 runs only the scalar kernels: encode, lose m data
+  // shards, decode through the inverted survivor rows — all scalar.
+  const int k = 4, m = 2;
+  const std::size_t len = 4097;
+  Shards shards;
+  for (int d = 0; d < k; ++d)
+    shards.push_back(random_bytes(len, 40 + static_cast<std::size_t>(d)));
+  for (auto& p : scalar_encode(k, m, shards)) shards.push_back(p);
+  const Shards golden = shards;
+
+  const auto enc = GfMatrix::rs_encode_matrix(k, m);
+  const std::vector<std::size_t> survivors = {2, 3, 4, 5};  // 0, 1 lost
+  GfMatrix sub(k, k);
+  for (std::size_t r = 0; r < survivors.size(); ++r)
+    for (std::size_t c = 0; c < static_cast<std::size_t>(k); ++c)
+      sub.at(r, c) = enc.at(survivors[r], c);
+  const GfMatrix decode = sub.inverted();
+  Shards lost(2, std::vector<std::byte>(len, std::byte{0xEE}));
+  std::vector<const std::vector<std::byte>*> in;
+  for (const std::size_t s : survivors) in.push_back(&shards[s]);
+  scalar_rows(decode, {0, 1}, in, {&lost[0], &lost[1]});
+  EXPECT_EQ(lost[0], golden[0]);
+  EXPECT_EQ(lost[1], golden[1]);
 }
 
 TEST(GfMatrix, InverseRoundTrip) {
