@@ -230,15 +230,15 @@ int main(int argc, char** argv) {
   const std::int64_t on_limp_p99 = pctl(on_limp, 0.99);
   const std::int64_t off_limp_p99 = pctl(off_limp, 0.99);
   row("ds limp x10", "on", on_limp.size(), pctl(on_limp, 0.5), on_limp_p99,
-      "quarantined=" + std::to_string(on.ds.health()->quarantines()));
+      "quarantined=" + std::to_string(on.ds.health().quarantines()));
   row("ds limp x10", "off", off_limp.size(), pctl(off_limp, 0.5),
       off_limp_p99, "waits out the limp");
 
   // The tentpole SLO: hedging/quarantine holds read p99 at ≤ 2× healthy
   // while a fixed-deadline stack degrades with the limp (×10 service time
   // lands p99 at ~10× healthy — the limper serves half the stripes).
-  DPC_CHECK(on.ds.health()->quarantines() >= 1);
-  DPC_CHECK(on.ds.health()->quarantined(kLimpServer));
+  DPC_CHECK(on.ds.health().quarantines() >= 1);
+  DPC_CHECK(on.ds.health().quarantined(kLimpServer));
   DPC_CHECK(on_limp_p99 <= 2 * on_healthy_p99);
   DPC_CHECK(static_cast<double>(off_limp_p99) >=
             9.9 * static_cast<double>(off_healthy_p99));
@@ -249,9 +249,9 @@ int main(int argc, char** argv) {
   const auto on_heal = on.run_reads(400, seed ^ 3);
   row("ds heal", "on", on_heal.size(), pctl(on_heal, 0.5),
       pctl(on_heal, 0.99),
-      "reintegrations=" + std::to_string(on.ds.health()->reintegrations()));
-  DPC_CHECK(on.ds.health()->reintegrations() >= 1);
-  DPC_CHECK(!on.ds.health()->quarantined(kLimpServer));
+      "reintegrations=" + std::to_string(on.ds.health().reintegrations()));
+  DPC_CHECK(on.ds.health().reintegrations() >= 1);
+  DPC_CHECK(!on.ds.health().quarantined(kLimpServer));
 
   // ---- phase 4: intermittent stalls → speculative hedges --------------
   fault::FaultInjector::SlowSpec stall;
@@ -279,9 +279,9 @@ int main(int argc, char** argv) {
   // Budget: speculation capped at hedge_budget of primary reads (+ the
   // token cap a healthy stretch may bank).
   DPC_CHECK(static_cast<double>(hc.issued->value()) <=
-            on.ds.health()->config().hedge_budget *
+            on.ds.health().config().hedge_budget *
                     static_cast<double>(hc.primary->value()) +
-                on.ds.health()->config().hedge_token_cap);
+                on.ds.health().config().hedge_token_cap);
   DPC_CHECK(on_stall_p99 < off_stall_p99);
   // OFF's hedges must all have been denied by its zero budget.
   DPC_CHECK(off.ds.hedge_counters().issued->value() == 0);
@@ -357,7 +357,7 @@ int main(int argc, char** argv) {
   // cheaper than retrying at the fixed 500 µs kKvOpTimeout.
   DPC_CHECK(static_cast<double>(kv_on_first) <=
             0.6 * static_cast<double>(kv_off_first));
-  DPC_CHECK(kv_on.kv.health()->quarantines() >= 1);
+  DPC_CHECK(kv_on.kv.health().quarantines() >= 1);
   std::vector<std::int64_t> kv_on_outage, kv_off_outage;
   for (int i = 1; i <= 160; ++i) {
     kv_on_outage.push_back(kv_on.get_one(i));
@@ -382,11 +382,11 @@ int main(int argc, char** argv) {
   }
   DPC_CHECK(on_ok);
   DPC_CHECK(off_ok);
-  DPC_CHECK(kv_on.kv.health()->reintegrations() >= 1);
-  DPC_CHECK(kv_on.kv.breaker_state() == fault::CircuitBreaker::State::kClosed);
+  DPC_CHECK(kv_on.kv.health().reintegrations() >= 1);
+  DPC_CHECK(kv_on.kv.health().state(0) == fault::PeerHealth::State::kHealthy);
   table.add_row({"kv heal", "both", "256", "-", "-",
                  "reintegrations=" +
-                     std::to_string(kv_on.kv.health()->reintegrations())});
+                     std::to_string(kv_on.kv.health().reintegrations())});
 
   print_table(table, args);
 

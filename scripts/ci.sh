@@ -43,8 +43,9 @@
 #            stage) and the nvmlog bench (BENCH_nvmlog.json), which asserts
 #            fsync p99(WAL off) ≥ 5× p99(WAL on) and graceful ring-full
 #            degradation internally.
-#   tail   — gray-failure tolerance tier: the fail-slow / health-scoreboard
-#            / hedged-read tests swept over several seeds (plain + tsan) and
+#   tail   — gray-failure tolerance tier: the fail-slow / per-peer health
+#            (PeerHealth: open/half-open and quarantine) / hedged-read
+#            tests swept over several seeds (plain + tsan) and
 #            the tail_tolerance bench (BENCH_tail.json), which asserts the
 #            tail SLO internally: limping-peer p99 ≤ 2× healthy with the
 #            scoreboard on, ≥ 10× with it off.
@@ -216,10 +217,10 @@ echo "=== tail stage ==="
 for seed in "${TAIL_SEEDS[@]}"; do
   echo "--- tail seed $seed (plain) ---"
   DPC_FAULT_SEED="$seed" ctest --test-dir build --output-on-failure \
-    -j "$JOBS" -R 'Tail|Hedge'
+    -j "$JOBS" -R 'Tail|Hedge|PeerHealth'
   echo "--- tail seed $seed (tsan) ---"
   DPC_FAULT_SEED="$seed" ctest --test-dir build-tsan --output-on-failure \
-    -j "$JOBS" -R 'Tail|Hedge'
+    -j "$JOBS" -R 'Tail|Hedge|PeerHealth'
 done
 echo "--- tail tolerance bench ---"
 # The bench DPC_CHECKs its own tail SLO (limping-peer p99 ≤ 2× healthy with

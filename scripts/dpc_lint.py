@@ -206,10 +206,11 @@ ENCODE_DEF_RE = re.compile(r"\b(?P<name>encode_\w+)\s*\((?P<args>[^)]*)\)")
 TENANT_REF_RE = re.compile(r"\btenant\b")
 
 # fixed-deadline: the health-scored backends (src/dfs/, src/kv/) derive
-# their waits from HealthBoard::deadline() — the scaled observed p99 — not
+# their waits from PeerHealth::deadline() — the scaled observed p99 — not
 # from the fixed calib timeout constants, which can neither track a slow
-# regime nor cut a gray-failing one short. The no-board fallback keeps the
-# constant under an explicit `// dpc-lint: ok(fixed-deadline)`.
+# regime nor cut a gray-failing one short. The untracked fallback (latency
+# tracking off) keeps the constant under an explicit
+# `// dpc-lint: ok(fixed-deadline)`.
 FIXED_DEADLINE_RE = re.compile(r"\bk(?:KvOp|NvmeCommand)Timeout\b")
 
 ALL_RULES = (
@@ -403,9 +404,9 @@ def lint_file(path: Path, findings: list[Finding],
             findings.append(Finding(
                 path, n, "fixed-deadline",
                 "fixed timeout constant on a health-scored backend path — "
-                "cut retries at HealthBoard::deadline() (scaled observed "
+                "cut retries at PeerHealth::deadline() (scaled observed "
                 "p99) so the wait tracks the peer's actual regime; keep "
-                "the calib constant only as the no-board fallback under an "
+                "the calib constant only as the untracked fallback under an "
                 "explicit ok(fixed-deadline)"))
 
         tenant_decl = TENANT_DECL_RE.search(line)

@@ -546,6 +546,16 @@ std::uint32_t HostCachePlane::invalidate_above(std::uint64_t inode,
   return freed;
 }
 
+void HostCachePlane::void_fills() {
+  for (std::uint32_t b = 0; b < layout_->geometry().buckets; ++b) {
+    // Under the bucket lock, so a fill either claimed its entry before this
+    // bump (and a later scan sees it) or checks its ticket after it.
+    lock_bucket(b);
+    fill_gen_[b].gen.fetch_add(1);
+    unlock_bucket(b);
+  }
+}
+
 std::uint32_t HostCachePlane::free_pages() const {
   return host_->atomic_u32(layout_->header_field(HeaderOffsets::kFree))
       .load(std::memory_order_acquire);

@@ -99,6 +99,12 @@ class HostCachePlane {
   /// coherence). Scans the whole meta area; truncate is rare.
   std::uint32_t invalidate_above(std::uint64_t inode, std::uint64_t first_lpn);
 
+  /// Voids every outstanding fill ticket, in every bucket: a fill whose
+  /// bytes were fetched before this call is dropped, and one that already
+  /// landed is left for the caller to drop. Truncate's fence — the pages a
+  /// read in flight may fill past the new EOF hash to arbitrary buckets.
+  void void_fills();
+
   /// Zeroes bytes [from, page_size) of the cached page, if present —
   /// truncate's boundary-page coherence (the backend zeroes its copy too,
   /// so the entry's clean/dirty status is preserved).

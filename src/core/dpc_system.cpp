@@ -886,15 +886,23 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
   // Keep the hybrid cache and the adapter's size view coherent: drop pages
   // fully past the new end and zero the cached boundary page's tail (the
   // DPU-side truncate zeroes the backend copy).
-  if (host_cache_) {
+  const auto drop_past_eof = [&] {
     host_cache_->invalidate_above(ino, (new_size + kCachePage - 1) /
                                            kCachePage);
     const auto tail = static_cast<std::uint32_t>(new_size % kCachePage);
     if (tail != 0) host_cache_->zero_tail(ino, new_size / kCachePage, tail);
-  }
+  };
+  // Before the DPU truncate, so no dirty page past the new end is flushed
+  // behind it and re-grows the file.
+  if (host_cache_) drop_past_eof();
+  bool shrinks = true;  // unless the adapter's size view says otherwise
   {
     sim::LockGuard lock(size_mu_);
-    size_cache_[ino] = new_size;
+    auto [it, fresh] = size_cache_.try_emplace(ino, new_size);
+    if (!fresh) {
+      shrinks = new_size < it->second;
+      it->second = new_size;
+    }
   }
   nvme::IniDriver::Request r;
   r.target = nvme::DispatchTarget::kStandalone;
@@ -903,6 +911,16 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
   r.inode = ino;
   r.offset = new_size;
   const auto res = call(r, 0);
+  // And again after a shrink: a read miss that reached the DPU first holds
+  // pre-truncate bytes. Voiding every fill ticket drops its fill if it has
+  // not landed yet, and the second pass drops (or re-zeroes) it if it has.
+  // A read that takes its ticket after the void was issued after the DPU
+  // truncate completed, so its bytes are current. Growth (every buffered
+  // append) needs neither: a read in flight stopped at the old EOF.
+  if (host_cache_ && shrinks) {
+    host_cache_->void_fills();
+    drop_past_eof();
+  }
   Io io;
   io.ino = ino;
   io.cost = res.cost;

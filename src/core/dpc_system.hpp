@@ -32,6 +32,7 @@
 #include "dfs/client.hpp"
 #include "dpu/dpu.hpp"
 #include "dpu/qos.hpp"
+#include "fault/health.hpp"
 #include "fault/injector.hpp"
 #include "fault/retry.hpp"
 #include "dpu/scrubber.hpp"
@@ -77,9 +78,10 @@ struct DpcOptions {
   /// Wall-clock deadline per NVMe command when DPU workers run (the pump
   /// path detects loss deterministically and ignores this).
   int nvme_timeout_ms = 100;
-  /// Retry/backoff policy for remote-KV ops and the KV circuit breaker.
+  /// Retry/backoff policy for remote-KV ops and the KV store's open/probe
+  /// thresholds (fault::PeerHealth's hard tier).
   fault::RetryPolicy kv_retry{};
-  fault::CircuitBreaker::Config kv_breaker{};
+  fault::BreakerConfig kv_breaker{};
 
   // ---- background integrity scrub
   /// Runs the DPU-side scrubber as a WorkerPool poller: walks the KV store

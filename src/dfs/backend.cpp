@@ -111,8 +111,10 @@ int MdsCluster::home_of(Ino ino) const {
 
 void MdsCluster::enable_health(obs::Registry* registry,
                                const fault::HealthConfig& cfg) {
-  health_ =
-      std::make_unique<fault::HealthBoard>("mds", servers(), cfg, registry);
+  health_ = std::make_unique<fault::PeerHealth>("mds", servers(),
+                                               fault::BreakerConfig{},
+                                               registry);
+  health_->enable_tracking(cfg);
 }
 
 void MdsCluster::charge(int home, int entry, bool direct,
@@ -132,7 +134,9 @@ void MdsCluster::charge(int home, int entry, bool direct,
   prof.net += net;
   prof.mds += svc;
   ++prof.mds_ops;
-  if (health_ != nullptr) health_->record(home, net + svc, true);
+  if (health_ != nullptr)
+    health_->report(home, fault::PeerHealth::Reach::kUp,
+                    fault::PeerHealth::Sample::kServed, net + svc);
 }
 
 void MdsCluster::register_recall(ClientId client, RecallFn fn) {
@@ -323,15 +327,9 @@ std::uint32_t stamp_shard_crc(Ino ino, std::uint64_t stripe,
 
 DataServers::DataServers(int servers, fault::FaultInjector* fault,
                          obs::Registry* registry,
-                         fault::CircuitBreaker::Config breaker_cfg)
-    : servers_(static_cast<std::size_t>(servers)), fault_(fault) {
-  DPC_CHECK(servers >= 1);
-  breakers_.reserve(static_cast<std::size_t>(servers));
-  for (int s = 0; s < servers; ++s) {
-    breakers_.push_back(
-        std::make_unique<fault::CircuitBreaker>(breaker_cfg, registry));
-  }
-  registry_ = registry;
+                         fault::BreakerConfig breaker_cfg)
+    : servers_(static_cast<std::size_t>(servers)), fault_(fault),
+      health_("ds", servers, breaker_cfg, registry) {
   if (registry != nullptr) {
     failed_reads_ = &registry->counter("dfs.ds/failed_reads");
     failed_writes_ = &registry->counter("dfs.ds/failed_writes");
@@ -347,8 +345,7 @@ DataServers::DataServers(int servers, fault::FaultInjector* fault,
 }
 
 void DataServers::enable_health(const fault::HealthConfig& cfg) {
-  health_ = std::make_unique<fault::HealthBoard>("ds", servers(), cfg,
-                                                 registry_);
+  health_.enable_tracking(cfg);
 }
 
 void DataServers::fail_server(int server) {
@@ -358,8 +355,8 @@ void DataServers::fail_server(int server) {
 }
 
 void DataServers::heal_server(int server) {
-  // any_failed_ stays set: the gate keeps running (cheap) and the server's
-  // breaker closes itself on the first successful probe.
+  // any_failed_ stays set: the gate keeps running (cheap) and the server
+  // closes itself on the first successful probe.
   servers_[static_cast<std::size_t>(server)].failed.store(
       false, std::memory_order_release);
 }
@@ -369,31 +366,9 @@ bool DataServers::server_failed(int server) const {
       std::memory_order_acquire);
 }
 
-bool DataServers::access_fails(int server, std::string_view site,
-                               bool is_read, std::size_t bytes,
-                               OpProfile& prof, bool& fast_failed) {
-  fast_failed = false;
-  fault::CircuitBreaker& br = *breakers_[static_cast<std::size_t>(server)];
-  if (!br.allow()) {
-    // Circuit open: fail immediately without burning a network round trip
-    // or server slot — the whole point of the breaker.
-    fast_failed = true;
-    return true;
-  }
-  const bool down =
-      servers_[static_cast<std::size_t>(server)].failed.load(
-          std::memory_order_acquire) ||
-      (fault_ != nullptr && fault_->should_fail(site));
-  if (down) {
-    // The attempt went to the wire and timed out: charge it.
-    prof.ds += sim::calib::kDataServerOp;
-    prof.net += shard_net_cost(is_read, bytes);
-    ++prof.ds_ops;
-    br.on_failure();
-    return true;
-  }
-  br.on_success();
-  return false;
+bool DataServers::attempt_lost(int server, std::string_view site) {
+  return server_failed(server) ||
+         (fault_ != nullptr && fault_->should_fail(site));
 }
 
 int DataServers::server_of(Ino ino, std::uint64_t stripe,
@@ -405,45 +380,41 @@ int DataServers::server_of(Ino ino, std::uint64_t stripe,
 DataServers::ShardAttempt DataServers::probe_read_shard(
     Ino ino, std::uint64_t stripe, std::uint32_t role,
     std::span<std::byte> dst) {
+  using Reach = fault::PeerHealth::Reach;
+  using Sample = fault::PeerHealth::Sample;
   ShardAttempt a;
   const int server = server_of(ino, stripe, role);
-  if (gated()) {
-    // Quarantine gate first: a peer the health board has sidelined is
-    // skipped before the breaker or the wire (every Nth access slips
-    // through as a reintegration probe). Skipping costs nothing.
-    if (health_ != nullptr && !health_->allow(server)) {
-      a.failed = true;
+  const auto fail = [&] {
+    a.failed = true;
+    if (failed_reads_ != nullptr) failed_reads_->add();
+    std::memset(dst.data(), 0, dst.size());
+    return a;
+  };
+  const bool gate = gated();
+  if (gate) {
+    // A quarantined or open server is skipped before the wire (every Nth
+    // access slips through as a probe). Skipping costs nothing — the whole
+    // point of the gate.
+    if (!health_.allow(server)) {
       a.fast_failed = true;
-      if (failed_reads_ != nullptr) failed_reads_->add();
-      std::memset(dst.data(), 0, dst.size());
-      return a;
+      return fail();
     }
-    bool fast = false;
-    OpProfile down_charge;
-    if (access_fails(server, kFaultDsReadShard, /*is_read=*/true, dst.size(),
-                     down_charge, fast)) {
-      a.failed = true;
-      a.fast_failed = fast;
-      if (!fast) {
-        if (health_ != nullptr) {
-          // The attempt went to the wire and died. With a health board the
-          // wait is the *adaptive* deadline (recorded as a censored
-          // timeout), replacing access_fails' fixed per-op charge.
-          const sim::Nanos dl = health_->deadline();
-          a.latency = dl;
-          a.charge.ds += dl;
-          a.charge.net += sim::calib::kNetHop * 2;
-          ++a.charge.ds_ops;
-          health_->record(server, dl, /*ok=*/false);
-        } else {
-          a.charge = down_charge;
-          a.latency =
-              sim::calib::kDataServerOp + shard_net_cost(true, dst.size());
-        }
+    if (attempt_lost(server, kFaultDsReadShard)) {
+      // The attempt went to the wire and died. While tracking, the wait is
+      // the *adaptive* deadline (reported as a censored timeout); otherwise
+      // the fixed per-op charge.
+      if (health_.tracking()) {
+        a.latency = health_.deadline();
+        a.charge.ds += a.latency;
+        a.charge.net += sim::calib::kNetHop * 2;
+      } else {
+        a.charge.ds += sim::calib::kDataServerOp;
+        a.charge.net += shard_net_cost(true, dst.size());
+        a.latency = a.charge.ds + a.charge.net;
       }
-      if (failed_reads_ != nullptr) failed_reads_->add();
-      std::memset(dst.data(), 0, dst.size());
-      return a;
+      ++a.charge.ds_ops;
+      health_.report(server, Reach::kDown, Sample::kCut, a.latency);
+      return fail();
     }
   }
   sim::Nanos svc = sim::calib::kDataServerOp;
@@ -451,24 +422,22 @@ DataServers::ShardAttempt DataServers::probe_read_shard(
   if (fault_ != nullptr)
     svc += fault_->slow_penalty(kFaultDsSlow, server, svc + net);
   const sim::Nanos total = svc + net;
-  if (health_ != nullptr) {
-    const sim::Nanos dl = health_->deadline();
-    if (total.ns > dl.ns) {
+  if (gate) {
+    const sim::Nanos dl =
+        health_.tracking() ? health_.deadline() : total;
+    if (total > dl) {
       // Gray failure: the answer exists but won't arrive inside the
-      // adaptive deadline — a modelled timeout. It strikes the health board
-      // (the slow tier), not the breaker: the server is up, not down, and
-      // opening a binary breaker on slowness would conflate the two.
-      a.failed = true;
+      // adaptive deadline — a modelled timeout. It strikes the latency
+      // tier only: the server is up, not down, and opening it on slowness
+      // would conflate the two.
       a.latency = dl;
       a.charge.ds += dl;
       a.charge.net += sim::calib::kNetHop * 2;
       ++a.charge.ds_ops;
-      health_->record(server, dl, /*ok=*/false);
-      if (failed_reads_ != nullptr) failed_reads_->add();
-      std::memset(dst.data(), 0, dst.size());
-      return a;
+      health_.report(server, Reach::kUp, Sample::kCut, dl);
+      return fail();
     }
-    health_->record(server, total, /*ok=*/true);
+    health_.report(server, Reach::kUp, Sample::kServed, total);
   }
   a.latency = total;
   a.charge.ds += svc;
@@ -488,7 +457,7 @@ DataServers::ShardAttempt DataServers::probe_read_shard(
     // silently wrong data, and "absent" semantics would let a reconstruct
     // treat the rot as an erasure it can't tell from a legitimate hole.
     // The answer arrived on time, so health records it ok above — corruption
-    // is not slowness, and neither the breaker nor quarantine should trip.
+    // is not slowness, and the server must neither open nor turn slow.
     if (corrupt_reads_ != nullptr) corrupt_reads_->add();
     a.failed = true;
     a.corrupt = true;
@@ -518,10 +487,20 @@ void DataServers::write_shard(Ino ino, std::uint64_t stripe,
                               OpProfile& prof) {
   const int server = server_of(ino, stripe, role);
   Server& sv = servers_[static_cast<std::size_t>(server)];
-  if (gated()) {
-    bool fast = false;
-    if (access_fails(server, kFaultDsWriteShard, /*is_read=*/false,
-                     src.size(), prof, fast)) {
+  const bool gate = gated();
+  if (gate) {
+    // Only the open gate: a write cannot route around a slow server — the
+    // shard lives there. An open server fails the write without charge.
+    bool lost = !health_.allow_hard(server);
+    if (!lost && attempt_lost(server, kFaultDsWriteShard)) {
+      // The attempt went to the wire and timed out: charge it.
+      prof.ds += sim::calib::kDataServerOp;
+      prof.net += shard_net_cost(false, src.size());
+      ++prof.ds_ops;
+      health_.report(server, fault::PeerHealth::Reach::kDown);
+      lost = true;
+    }
+    if (lost) {
       if (failed_writes_ != nullptr) failed_writes_->add();
       // The new version never reached the server, so its old copy is now a
       // stale version. Invalidate it (models per-shard version checks):
@@ -542,7 +521,9 @@ void DataServers::write_shard(Ino ino, std::uint64_t stripe,
   // Writes have no deadline cut: timing out a write that in fact landed
   // would invalidate the shard and amplify a limp into repair churn.
   // Sustained write slowness still feeds the scoreboard and quarantine.
-  if (health_ != nullptr) health_->record(server, svc + net, /*ok=*/true);
+  if (gate)
+    health_.report(server, fault::PeerHealth::Reach::kUp,
+                   fault::PeerHealth::Sample::kServed, svc + net);
   sim::LockGuard lock(sv.mu);
   StoredShard& st = sv.shards[Key{ino, stripe, role}];
   st.data.assign(src.begin(), src.end());
@@ -912,14 +893,14 @@ struct HedgedAttempt {
 };
 
 /// When the attempt's outcome is known: answers (clean, hole, corrupt) and
-/// deadline timeouts at start+latency; breaker/quarantine fast-fails
+/// deadline timeouts at start+latency; open/quarantine fast-fails
 /// immediately (latency is zero).
 std::int64_t done_at(const HedgedAttempt& at) {
   return at.start.ns + at.a.latency.ns;
 }
 
 /// Maps server → position in the board's healthiest-first ranking.
-std::vector<int> rank_by_health(const fault::HealthBoard& board, int servers) {
+std::vector<int> rank_by_health(const fault::PeerHealth& board, int servers) {
   std::vector<int> rank(static_cast<std::size_t>(servers), 0);
   const std::vector<int> order = board.ranked();
   for (std::size_t i = 0; i < order.size(); ++i)
@@ -934,8 +915,8 @@ bool hedged_striped_read(DataServers& ds, const ec::ReedSolomon& rs,
                          std::span<std::byte> dst, OpProfile& prof,
                          bool* reconstructed) {
   DPC_CHECK(meta.redundancy == Redundancy::kErasure);
-  fault::HealthBoard* board = ds.health();
-  DPC_CHECK(board != nullptr);  // callers enable health before hedging
+  fault::PeerHealth* board = &ds.health();
+  DPC_CHECK(board->tracking());  // callers enable health before hedging
   const DataServers::HedgeCounters& hc = ds.hedge_counters();
   const std::uint32_t unit = meta.stripe_unit;
   const int k = meta.k;
@@ -1167,8 +1148,8 @@ bool hedged_replicated_read(DataServers& ds, const FileMeta& meta,
                             std::uint64_t offset, std::span<std::byte> dst,
                             OpProfile& prof) {
   DPC_CHECK(meta.redundancy == Redundancy::kReplication);
-  fault::HealthBoard* board = ds.health();
-  DPC_CHECK(board != nullptr);
+  fault::PeerHealth* board = &ds.health();
+  DPC_CHECK(board->tracking());
   const DataServers::HedgeCounters& hc = ds.hedge_counters();
   const std::uint32_t unit = meta.stripe_unit;
   std::size_t done = 0;

@@ -163,11 +163,12 @@ class MdsCluster {
   /// MDS service time can stretch at the kFaultMdsSlow site (limping-peer
   /// mode keys on the home MDS index).
   void attach_fault(fault::FaultInjector* fault) { fault_ = fault; }
-  /// Creates the per-MDS health scoreboard ("mds" group) feeding the
-  /// health/ gauges; every charged RPC records its observed latency.
+  /// Creates the per-MDS health board ("mds" group), latency tracking on,
+  /// feeding the health/ gauges; every charged RPC reports its observed
+  /// latency.
   void enable_health(obs::Registry* registry,
                      const fault::HealthConfig& cfg = {});
-  fault::HealthBoard* health() const { return health_.get(); }
+  fault::PeerHealth* health() const { return health_.get(); }
 
  private:
   /// Adds the cost of one metadata RPC (and the forward if not direct).
@@ -176,7 +177,7 @@ class MdsCluster {
   std::vector<Mds> mds_;
   fault::FaultInjector* fault_ = nullptr;
   /// mutable: charge() is const but records observations.
-  mutable std::unique_ptr<fault::HealthBoard> health_;
+  mutable std::unique_ptr<fault::PeerHealth> health_;
   std::atomic<Ino> next_ino_{1};
   mutable sim::AnnotatedMutex recall_mu_{"mds.recall",
                                          sim::LockRank::kShard};
@@ -236,18 +237,18 @@ bool replicated_read_any(DataServers& ds, const FileMeta& meta,
 
 // ------------------------------------------------------------ hedged reads
 //
-// Tail-tolerant read paths (DESIGN.md §5l). Both require an enabled
-// HealthBoard on `ds`. Per stripe, the needed data shards are issued as a
-// parallel primary wave; a shard lagging the board's hedge_delay() (or one
-// that failed / sits on a quarantined server) triggers extra reads of the
-// stripe's remaining shards, healthiest servers first — first k of k+m
-// clean shards wins, the stripe is RS-reconstructed if the winners don't
-// include every needed data shard, and losers are cancelled before payload
-// transfer so they charge nothing. Speculative hedges are capped by the
-// board's token budget; recovery of failed shards is not (correctness path,
-// accounted as a degraded read). prof.crit accumulates the per-stripe
-// completion time — the fan-out-aware latency the serial demand sums can't
-// express.
+// Tail-tolerant read paths (DESIGN.md §5l). Both require latency tracking
+// on `ds` (DataServers::enable_health()). Per stripe, the needed data
+// shards are issued as a parallel primary wave; a shard lagging the
+// board's hedge_delay() (or one that failed / sits on a quarantined server)
+// triggers extra reads of the stripe's remaining shards, healthiest
+// servers first — first k of k+m clean shards wins, the stripe is
+// RS-reconstructed if the winners don't include every needed data shard,
+// and losers are cancelled before payload transfer so they charge nothing.
+// Speculative hedges are capped by the board's token budget; recovery of
+// failed shards is not (correctness path, accounted as a degraded read).
+// prof.crit accumulates the per-stripe completion time — the fan-out-aware
+// latency the serial demand sums can't express.
 
 /// `reconstructed` (optional) reports that at least one stripe was served
 /// via RS reconstruction — the caller charges the decode compute to its own
@@ -285,19 +286,20 @@ enum class ShardState : std::uint8_t { kOk, kAbsent, kCorrupt };
 class DataServers {
  public:
   /// With a FaultInjector, shard reads/writes can fail at the
-  /// kFaultDsReadShard / kFaultDsWriteShard sites; per-server circuit
-  /// breakers (counters in `registry`) fast-fail a server that keeps
-  /// timing out. Both optional — defaults behave exactly as before.
+  /// kFaultDsReadShard / kFaultDsWriteShard sites; the per-server health
+  /// board (counters and gauges in `registry`) opens a server that keeps
+  /// timing out, and fast-fails it. Both optional — defaults behave exactly
+  /// as before.
   explicit DataServers(int servers = sim::calib::kDataServers,
                        fault::FaultInjector* fault = nullptr,
                        obs::Registry* registry = nullptr,
-                       fault::CircuitBreaker::Config breaker_cfg = {});
+                       fault::BreakerConfig breaker_cfg = {});
 
   int servers() const { return static_cast<int>(servers_.size()); }
   int server_of(Ino ino, std::uint64_t stripe, std::uint32_t role) const;
 
   /// Reads a whole shard (stripe_unit bytes); absent shards read as zeros
-  /// and return false. A *failed* read (server marked down, breaker open,
+  /// and return false. A *failed* read (server marked down, server open,
   /// or injected fault) also zero-fills and returns false, with `*failed`
   /// set — pass `failed` wherever holes and outages must be told apart.
   /// A shard that fails its CRC also zero-fills with `*failed` set (it must
@@ -334,7 +336,7 @@ class DataServers {
   bool corrupt_shard(Ino ino, std::uint64_t stripe, std::uint32_t role,
                      std::uint32_t bit = 0);
   /// Media-only CRC check of one shard — no network/server cost, no
-  /// breaker interaction (the scrubber's primitive).
+  /// health interaction (the scrubber's primitive).
   ShardState verify_shard(Ino ino, std::uint64_t stripe,
                           std::uint32_t role) const;
   /// Snapshot of every stored shard's identity (scrubber walk order).
@@ -342,25 +344,28 @@ class DataServers {
 
   // ---- gray-failure tolerance (DESIGN.md §5l) ---------------------------
 
-  /// Creates the per-server health scoreboard ("ds" group). From then on
-  /// every shard access records its observed latency, reads time out at the
-  /// board's adaptive deadline instead of waiting out a limping server, and
-  /// quarantined servers are skipped (every Nth access probes). Uses the
-  /// registry passed at construction for the health/ and hedge/ metrics.
+  /// Switches on latency tracking in the per-server health board ("ds"
+  /// group). From then on every shard access records its observed latency,
+  /// reads time out at the board's adaptive deadline instead of waiting out
+  /// a limping server, and quarantined servers are skipped (every Nth
+  /// access probes). Uses the registry passed at construction for the
+  /// health/ and hedge/ metrics.
   void enable_health(const fault::HealthConfig& cfg = {});
-  fault::HealthBoard* health() const { return health_.get(); }
+  /// Per-server state: open/half-open always, slow once enable_health()
+  /// ran.
+  fault::PeerHealth& health() { return health_; }
 
   /// One staged shard-read attempt: nothing is charged to any OpProfile
   /// until commit_attempt(), which is how hedged reads cancel losers
-  /// without double-charging DS bytes or DMA accounting. Breaker and
-  /// health bookkeeping still happen at probe time (the attempt physically
+  /// without double-charging DS bytes or DMA accounting. Health
+  /// bookkeeping still happens at probe time (the attempt physically
   /// went to the wire).
   struct ShardAttempt {
     bool ok = false;          ///< clean bytes landed in dst
     bool failed = false;      ///< outage / adaptive-deadline timeout / rot
     bool corrupt = false;     ///< CRC mismatch (subset of failed)
     bool hole = false;        ///< absent shard: dst zero-filled, not failed
-    bool fast_failed = false; ///< breaker/quarantine rejected pre-wire
+    bool fast_failed = false; ///< open/quarantined server, not attempted
     sim::Nanos latency{};     ///< modelled service+wire time of the attempt
     OpProfile charge;         ///< costs to fold in iff the attempt is used
   };
@@ -410,23 +415,19 @@ class DataServers {
     std::atomic<bool> failed{false};
   };
 
-  /// True if the failure gate must run for server `s`; false is the
-  /// zero-overhead happy path (no injector, no server ever failed, no
-  /// health board watching).
+  /// True if the failure gate must run; false is the zero-overhead happy
+  /// path (no injector, no server ever failed, no latency tracking).
   bool gated() const {
-    return fault_ != nullptr || health_ != nullptr ||
+    return fault_ != nullptr || health_.tracking() ||
            any_failed_.load(std::memory_order_relaxed);
   }
-  /// Whether this access fails, charging the wasted attempt and driving
-  /// the server's breaker. `fast_failed` = breaker rejected it outright.
-  bool access_fails(int server, std::string_view site, bool is_read,
-                    std::size_t bytes, OpProfile& prof, bool& fast_failed);
+  /// Whether an attempt that reached the wire found the server down
+  /// (failed, or an injected fault at `site`).
+  bool attempt_lost(int server, std::string_view site);
 
   std::vector<Server> servers_;
   fault::FaultInjector* fault_ = nullptr;
-  obs::Registry* registry_ = nullptr;
-  std::vector<std::unique_ptr<fault::CircuitBreaker>> breakers_;
-  std::unique_ptr<fault::HealthBoard> health_;
+  fault::PeerHealth health_;
   std::atomic<bool> any_failed_{false};
   obs::Counter* failed_reads_ = nullptr;
   obs::Counter* failed_writes_ = nullptr;

@@ -191,7 +191,7 @@ IoResult DfsClient::read(Ino ino, std::uint64_t offset,
       return res;
     }
     bool done;
-    const bool hedge = cfg_.hedged_reads && ds_->health() != nullptr;
+    const bool hedge = cfg_.hedged_reads && ds_->health().tracking();
     if (meta->redundancy == Redundancy::kReplication) {
       done = hedge ? hedged_replicated_read(*ds_, *meta, offset, dst, res.prof)
                    : (replicated_read(*ds_, *meta, offset, dst, res.prof) ||

@@ -252,7 +252,7 @@ void Scrubber::scrub_dfs_shard(const dfs::ShardId& id, sim::Nanos& cost,
   }
   cost += prof.ds + prof.net;
   if (transient) {
-    // Too few survivors *right now* (server down / breaker open). Don't
+    // Too few survivors *right now* (server down / open). Don't
     // guess: leave the shard uncounted and retry on a later pass.
     *deferred = true;
     return;

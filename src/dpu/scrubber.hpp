@@ -17,7 +17,7 @@
 //   unrecoverable  detected items with no redundancy / too few survivors
 //   pass_ns        modelled latency distribution of scrub passes
 // Invariant: detected == repaired + unrecoverable. A corrupt shard whose
-// stripe is transiently unreadable (server down, breaker open) is deferred
+// stripe is transiently unreadable (server down or open) is deferred
 // — not counted at all — and retried on a later pass, so the invariant
 // holds at every instant, not just at quiescence.
 #pragma once

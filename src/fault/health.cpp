@@ -13,67 +13,90 @@ std::int64_t clamp_ns(double v, sim::Nanos lo, sim::Nanos hi) {
   return std::clamp(n, lo.ns, hi.ns);
 }
 
+/// The one probe scheduler both tiers share: true on every interval-th call.
+bool every_nth(std::uint64_t& calls, int interval) {
+  return ++calls % static_cast<std::uint64_t>(interval) == 0;
+}
+
+/// The i-th smallest element of `v` (reordered in the process).
+template <typename T>
+T select(std::vector<T>& v, std::size_t i) {
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(i),
+                   v.end());
+  return v[i];
+}
+
 }  // namespace
 
-HealthBoard::HealthBoard(std::string_view group, int peers, HealthConfig cfg,
-                         obs::Registry* registry)
-    : cfg_(cfg), group_(group) {
+PeerHealth::PeerHealth(std::string_view group, int peers,
+                       BreakerConfig breaker, obs::Registry* registry)
+    : breaker_(breaker), group_(group), registry_(registry) {
   DPC_CHECK(peers >= 1);
-  DPC_CHECK(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0);
-  DPC_CHECK(cfg_.deadline_floor.ns <= cfg_.deadline_ceiling.ns);
-  DPC_CHECK(cfg_.slow_strikes >= 1);
-  DPC_CHECK(cfg_.probe_interval >= 1);
-  DPC_CHECK(cfg_.reintegrate_successes >= 1);
-  DPC_CHECK(cfg_.quantile_window >= 2);
-  DPC_CHECK(cfg_.quantile_refresh >= 1);
+  DPC_CHECK(breaker_.failure_threshold >= 1);
+  DPC_CHECK(breaker_.probe_interval >= 1);
   peers_v_.resize(static_cast<std::size_t>(peers));
-  for (auto& p : peers_v_)
-    p.ring.resize(static_cast<std::size_t>(cfg_.quantile_window));
   if (registry != nullptr) {
-    score_gauges_.reserve(static_cast<std::size_t>(peers));
-    ewma_gauges_.reserve(static_cast<std::size_t>(peers));
+    opens_ = &registry->counter("breaker/opens");
+    closes_ = &registry->counter("breaker/closes");
+    hard_probes_ = &registry->counter("breaker/probes");
+    fast_fails_ = &registry->counter("breaker/fast_fails");
     for (int i = 0; i < peers; ++i) {
-      const std::string stem =
-          "health/" + group_ + std::to_string(i);
-      score_gauges_.push_back(&registry->gauge(stem + "/score_milli"));
-      score_gauges_.back()->set(1000);  // unmeasured = presumed healthy
-      ewma_gauges_.push_back(&registry->gauge(stem + "/ewma_ns"));
+      state_gauges_.push_back(&registry->gauge(
+          "health/" + group_ + std::to_string(i) + "/state"));
+      state_gauges_.back()->set(static_cast<std::int64_t>(State::kHealthy));
     }
-    quarantines_ctr_ =
-        &registry->counter("health/" + group_ + "/quarantines");
-    reintegrations_ctr_ =
-        &registry->counter("health/" + group_ + "/reintegrations");
-    probes_ctr_ = &registry->counter("health/" + group_ + "/probes");
   }
 }
 
-void HealthBoard::refresh_p99_locked(Peer& p) {
+void PeerHealth::enable_tracking(const HealthConfig& cfg) {
+  DPC_CHECK(!tracking_);
+  DPC_CHECK(cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0);
+  DPC_CHECK(cfg.deadline_floor.ns <= cfg.deadline_ceiling.ns);
+  DPC_CHECK(cfg.slow_strikes >= 1);
+  DPC_CHECK(cfg.probe_interval >= 1);
+  DPC_CHECK(cfg.reintegrate_successes >= 1);
+  DPC_CHECK(cfg.quantile_window >= 2);
+  DPC_CHECK(cfg.quantile_refresh >= 1);
+  cfg_ = cfg;
+  tracking_ = true;
+  sim::LockGuard lock(mu_);
+  for (auto& p : peers_v_)
+    p.ring.resize(static_cast<std::size_t>(cfg_.quantile_window));
+  if (registry_ != nullptr) {
+    const std::string prefix = "health/" + group_;
+    for (int i = 0; i < peers(); ++i) {
+      const std::string stem = prefix + std::to_string(i);
+      score_gauges_.push_back(&registry_->gauge(stem + "/score_milli"));
+      score_gauges_.back()->set(1000);  // unmeasured = presumed healthy
+      ewma_gauges_.push_back(&registry_->gauge(stem + "/ewma_ns"));
+    }
+    quarantines_ctr_ = &registry_->counter(prefix + "/quarantines");
+    reintegrations_ctr_ = &registry_->counter(prefix + "/reintegrations");
+    probes_ctr_ = &registry_->counter(prefix + "/probes");
+  }
+}
+
+void PeerHealth::refresh_p99_locked(Peer& p) {
   if (p.ring_count == 0) return;
   // "Streaming quantile": bounded ring of recent observations, p99 read by
   // selection. Deterministic and windowed — exactly what an adaptive
   // deadline wants (old regimes age out as the window slides).
   std::vector<std::int64_t> tmp(p.ring.begin(),
                                 p.ring.begin() + p.ring_count);
-  const auto idx = static_cast<std::size_t>(
-      static_cast<double>(p.ring_count - 1) * 0.99);
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(idx),
-                   tmp.end());
-  p.cached_p99_ns = tmp[idx];
+  p.cached_p99_ns = select(
+      tmp, static_cast<std::size_t>(static_cast<double>(p.ring_count - 1) *
+                                    0.99));
 }
 
-double HealthBoard::median_healthy_ewma_locked() const {
+double PeerHealth::median_healthy_ewma_locked() const {
   std::vector<double> vals;
   vals.reserve(peers_v_.size());
   for (const Peer& p : peers_v_)
     if (!p.quarantined && p.ewma_ns >= 0.0) vals.push_back(p.ewma_ns);
-  if (vals.empty()) return -1.0;
-  const auto mid = vals.size() / 2;
-  std::nth_element(vals.begin(), vals.begin() + static_cast<std::ptrdiff_t>(mid),
-                   vals.end());
-  return vals[mid];
+  return vals.empty() ? -1.0 : select(vals, vals.size() / 2);
 }
 
-std::int64_t HealthBoard::cohort_p99_locked() const {
+std::int64_t PeerHealth::cohort_p99_locked() const {
   // The healthy cohort's p99: median of the non-quarantined peers' cached
   // p99s. The median (not max) keeps one not-yet-quarantined limper from
   // dragging the deadline out to its own tail — the cohort defines what an
@@ -86,32 +109,93 @@ std::int64_t HealthBoard::cohort_p99_locked() const {
     for (const Peer& p : peers_v_)
       if (p.cached_p99_ns > 0) vals.push_back(p.cached_p99_ns);
   }
-  if (vals.empty()) return 0;
-  const auto mid = vals.size() / 2;
-  std::nth_element(vals.begin(), vals.begin() + static_cast<std::ptrdiff_t>(mid),
-                   vals.end());
-  return vals[mid];
+  return vals.empty() ? 0 : select(vals, vals.size() / 2);
 }
 
-void HealthBoard::publish_peer_locked(int peer) {
+double PeerHealth::score_locked(const Peer& p) const {
+  if (p.quarantined) return 0.0;
+  if (p.ewma_ns <= 0.0) return 1.0;
+  const double med = median_healthy_ewma_locked();
+  return med <= 0.0 ? 1.0 : std::min(1.0, med / p.ewma_ns);
+}
+
+void PeerHealth::publish_peer_locked(int peer) {
   if (score_gauges_.empty()) return;
   const Peer& p = peers_v_[static_cast<std::size_t>(peer)];
-  double s = 1.0;
-  if (p.quarantined) {
-    s = 0.0;
-  } else if (p.ewma_ns > 0.0) {
-    const double med = median_healthy_ewma_locked();
-    if (med > 0.0) s = std::min(1.0, med / p.ewma_ns);
-  }
   score_gauges_[static_cast<std::size_t>(peer)]->set(
-      static_cast<std::int64_t>(s * 1000.0));
+      static_cast<std::int64_t>(score_locked(p) * 1000.0));
   ewma_gauges_[static_cast<std::size_t>(peer)]->set(
       p.ewma_ns < 0.0 ? 0 : static_cast<std::int64_t>(p.ewma_ns));
 }
 
-void HealthBoard::record(int peer, sim::Nanos observed, bool ok) {
+PeerHealth::State PeerHealth::state_of(const Peer& p) {
+  if (p.hard != State::kHealthy) return p.hard;
+  return p.quarantined ? State::kSlow : State::kHealthy;
+}
+
+void PeerHealth::publish_state_locked(int peer) {
+  if (state_gauges_.empty()) return;
+  const auto i = static_cast<std::size_t>(peer);
+  state_gauges_[i]->set(static_cast<std::int64_t>(state_of(peers_v_[i])));
+}
+
+bool PeerHealth::gate(int peer, bool quarantine_gate) {
   sim::LockGuard lock(mu_);
   Peer& p = peers_v_[static_cast<std::size_t>(peer)];
+  if (quarantine_gate && p.quarantined) {
+    if (!every_nth(p.suppressed, cfg_.probe_interval)) return false;
+    if (probes_ctr_ != nullptr) probes_ctr_->add();  // reintegration probe
+  }
+  if (p.hard == State::kHealthy) return true;
+  // Open: let every probe_interval-th gated call through as a probe; the
+  // rest fast-fail so a dead peer doesn't eat full timeouts per op.
+  // Half-open: a probe is in flight, don't pile on — unless its owner has
+  // gone quiet for a full probe interval (crashed mid-attempt); then take
+  // the probe over, and the original owner's late report is a straggler.
+  const bool probe =
+      p.hard == State::kOpen
+          ? every_nth(p.gated, breaker_.probe_interval)
+          : p.probe_inflight &&
+                ++p.halfopen_fast_fails >
+                    static_cast<std::uint64_t>(breaker_.probe_interval);
+  if (!probe) {
+    if (fast_fails_ != nullptr) fast_fails_->add();
+    return false;
+  }
+  if (p.hard == State::kOpen) {
+    p.hard = State::kHalfOpen;
+    p.probe_inflight = true;
+    publish_state_locked(peer);
+  }
+  p.probe_owner = std::this_thread::get_id();
+  p.halfopen_fast_fails = 0;
+  if (hard_probes_ != nullptr) hard_probes_->add();
+  return true;
+}
+
+void PeerHealth::report_hard_locked(Peer& p, Reach reach) {
+  const bool up = reach == Reach::kUp;
+  p.failures = up ? 0 : p.failures + 1;
+  // A straggler (see report()) resolves nothing.
+  if (p.probe_inflight && p.probe_owner != std::this_thread::get_id()) return;
+  p.probe_inflight = false;
+  p.halfopen_fast_fails = 0;
+  if (up) {
+    if (p.hard != State::kHealthy && closes_ != nullptr) closes_->add();
+    p.hard = State::kHealthy;
+  } else if (p.hard == State::kHalfOpen) {
+    p.hard = State::kOpen;  // probe failed: stay open, no new open event
+  } else if (p.hard == State::kHealthy &&
+             p.failures >=
+                 static_cast<std::uint64_t>(breaker_.failure_threshold)) {
+    p.hard = State::kOpen;
+    p.gated = 0;
+    if (opens_ != nullptr) opens_->add();
+  }
+}
+
+void PeerHealth::sample_locked(Peer& p, Sample sample, sim::Nanos observed) {
+  const bool ok = sample == Sample::kServed;
   const auto obs = static_cast<double>(observed.ns);
   // Only *completed* observations feed the latency statistics. A censored
   // timeout is recorded at the deadline that cut it — pushing that into the
@@ -170,65 +254,57 @@ void HealthBoard::record(int peer, sim::Nanos observed, bool ok) {
       if (quarantines_ctr_ != nullptr) quarantines_ctr_->add();
     }
   }
-  publish_peer_locked(peer);
 }
 
-sim::Nanos HealthBoard::deadline() const {
+void PeerHealth::report(int peer, Reach reach, Sample sample,
+                        sim::Nanos observed) {
+  sim::LockGuard lock(mu_);
+  Peer& p = peers_v_[static_cast<std::size_t>(peer)];
+  const State before = state_of(p);
+  if (reach != Reach::kNone) report_hard_locked(p, reach);
+  if (tracking_ && sample != Sample::kNone) {
+    sample_locked(p, sample, observed);
+    publish_peer_locked(peer);
+  }
+  if (state_of(p) != before) publish_state_locked(peer);
+}
+
+PeerHealth::State PeerHealth::state(int peer) const {
+  sim::LockGuard lock(mu_);
+  return state_of(peers_v_[static_cast<std::size_t>(peer)]);
+}
+
+sim::Nanos PeerHealth::cohort_scaled(double scale, sim::Nanos floor) const {
   sim::LockGuard lock(mu_);
   const std::int64_t q = cohort_p99_locked();
   if (q == 0) return cfg_.deadline_ceiling;  // unmeasured: be generous
-  return sim::Nanos{clamp_ns(cfg_.deadline_scale * static_cast<double>(q),
-                             cfg_.deadline_floor, cfg_.deadline_ceiling)};
+  return sim::Nanos{clamp_ns(scale * static_cast<double>(q), floor,
+                             cfg_.deadline_ceiling)};
 }
 
-sim::Nanos HealthBoard::hedge_delay() const {
+double PeerHealth::score(int peer) const {
   sim::LockGuard lock(mu_);
-  const std::int64_t q = cohort_p99_locked();
-  if (q == 0) return cfg_.deadline_ceiling;
-  return sim::Nanos{clamp_ns(cfg_.hedge_scale * static_cast<double>(q),
-                             cfg_.hedge_floor, cfg_.deadline_ceiling)};
+  return score_locked(peers_v_[static_cast<std::size_t>(peer)]);
 }
 
-double HealthBoard::score(int peer) const {
-  sim::LockGuard lock(mu_);
-  const Peer& p = peers_v_[static_cast<std::size_t>(peer)];
-  if (p.quarantined) return 0.0;
-  if (p.ewma_ns <= 0.0) return 1.0;
-  const double med = median_healthy_ewma_locked();
-  if (med <= 0.0) return 1.0;
-  return std::min(1.0, med / p.ewma_ns);
-}
-
-sim::Nanos HealthBoard::ewma(int peer) const {
+sim::Nanos PeerHealth::ewma(int peer) const {
   sim::LockGuard lock(mu_);
   const Peer& p = peers_v_[static_cast<std::size_t>(peer)];
   return sim::Nanos{p.ewma_ns < 0.0 ? 0
                                     : static_cast<std::int64_t>(p.ewma_ns)};
 }
 
-sim::Nanos HealthBoard::p99(int peer) const {
+sim::Nanos PeerHealth::p99(int peer) const {
   sim::LockGuard lock(mu_);
   return sim::Nanos{peers_v_[static_cast<std::size_t>(peer)].cached_p99_ns};
 }
 
-bool HealthBoard::quarantined(int peer) const {
+bool PeerHealth::quarantined(int peer) const {
   sim::LockGuard lock(mu_);
   return peers_v_[static_cast<std::size_t>(peer)].quarantined;
 }
 
-bool HealthBoard::allow(int peer) {
-  sim::LockGuard lock(mu_);
-  Peer& p = peers_v_[static_cast<std::size_t>(peer)];
-  if (!p.quarantined) return true;
-  const std::uint64_t n = ++p.suppressed;
-  if (n % static_cast<std::uint64_t>(cfg_.probe_interval) == 0) {
-    if (probes_ctr_ != nullptr) probes_ctr_->add();
-    return true;  // reintegration probe
-  }
-  return false;
-}
-
-std::vector<int> HealthBoard::ranked() const {
+std::vector<int> PeerHealth::ranked() const {
   sim::LockGuard lock(mu_);
   std::vector<int> order(peers_v_.size());
   for (std::size_t i = 0; i < order.size(); ++i)
@@ -246,25 +322,25 @@ std::vector<int> HealthBoard::ranked() const {
   return order;
 }
 
-void HealthBoard::note_primary(int reads) {
+void PeerHealth::note_primary(int reads) {
   sim::LockGuard lock(mu_);
   hedge_tokens_ = std::min(cfg_.hedge_token_cap,
                            hedge_tokens_ + cfg_.hedge_budget * reads);
 }
 
-bool HealthBoard::try_hedge(int reads) {
+bool PeerHealth::try_hedge(int reads) {
   sim::LockGuard lock(mu_);
   if (hedge_tokens_ < static_cast<double>(reads)) return false;
   hedge_tokens_ -= static_cast<double>(reads);
   return true;
 }
 
-std::uint64_t HealthBoard::quarantines() const {
+std::uint64_t PeerHealth::quarantines() const {
   sim::LockGuard lock(mu_);
   return quarantines_n_;
 }
 
-std::uint64_t HealthBoard::reintegrations() const {
+std::uint64_t PeerHealth::reintegrations() const {
   sim::LockGuard lock(mu_);
   return reintegrations_n_;
 }

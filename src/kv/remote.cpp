@@ -4,9 +4,9 @@ namespace dpc::kv {
 
 RemoteKv::RemoteKv(KvStore& store, fault::FaultInjector* fault,
                    obs::Registry* registry, const fault::RetryPolicy& retry,
-                   const fault::CircuitBreaker::Config& breaker)
-    : store_(&store), fault_(fault), registry_(registry), retry_(retry),
-      breaker_(breaker, registry) {
+                   const fault::BreakerConfig& breaker)
+    : store_(&store), fault_(fault), retry_(retry),
+      health_("kv", 1, breaker, registry) {
   if (registry != nullptr) {
     retry_attempts_ = &registry->counter("retry/attempts");
     retry_exhausted_ = &registry->counter("retry/exhausted");
@@ -15,7 +15,7 @@ RemoteKv::RemoteKv(KvStore& store, fault::FaultInjector* fault,
 }
 
 void RemoteKv::enable_health(const fault::HealthConfig& cfg) {
-  health_ = std::make_unique<fault::HealthBoard>("kv", 1, cfg, registry_);
+  health_.enable_tracking(cfg);
 }
 
 sim::Nanos RemoteKv::op_cost(bool is_read, std::uint64_t payload) {
@@ -26,60 +26,52 @@ sim::Nanos RemoteKv::op_cost(bool is_read, std::uint64_t payload) {
 }
 
 RemoteErr RemoteKv::begin_op(bool is_read, sim::Nanos& cost) const {
+  using Reach = fault::PeerHealth::Reach;
+  using Sample = fault::PeerHealth::Sample;
   if (fault_ == nullptr) return RemoteErr::kOk;  // failure path disabled
-  // Quarantine gate: a backend the health board has sidelined fast-fails
-  // without touching the wire (every Nth op slips through as a
-  // reintegration probe).
-  if (health_ != nullptr && !health_->allow(0)) return RemoteErr::kUnavailable;
-  if (!breaker_.allow()) return RemoteErr::kUnavailable;  // fast-fail
+  // A backend the board has quarantined or declared down fast-fails
+  // without touching the wire (every Nth op slips through as a probe).
+  if (!health_.allow(0)) return RemoteErr::kUnavailable;
 
   const std::uint64_t salt =
       op_seq_.fetch_add(1, std::memory_order_relaxed);
   for (int attempt = 1;; ++attempt) {
     if (!fault_->should_fail(kFaultSite)) {
       // The wire answers. It may still answer *slowly* (fail-slow site):
-      // with a health board the attempt is cut at the adaptive deadline and
-      // retried — the breaker is untouched, because a slow backend is up,
-      // not down, and opening a binary breaker on slowness conflates the
-      // two failure modes.
+      // while tracking, the attempt is cut at the adaptive deadline and
+      // retried — as a latency sample only, because a slow backend is up,
+      // not down, and opening the peer on slowness conflates the two
+      // failure modes.
       const sim::Nanos base = op_cost(is_read, 0);
-      const sim::Nanos penalty = fault_->slow_penalty(kSlowSite, 0, base);
-      if (health_ != nullptr) {
-        const sim::Nanos deadline = health_->deadline();
-        if (base + penalty > deadline) {
-          cost += deadline;
-          health_->record(0, deadline, /*ok=*/false);
-        } else {
-          health_->record(0, base + penalty, /*ok=*/true);
-          cost += penalty;  // the caller charges the base op_cost itself
-          breaker_.on_success();
-          return RemoteErr::kOk;
-        }
-      } else {
-        cost += penalty;
-        breaker_.on_success();
+      const sim::Nanos took = base + fault_->slow_penalty(kSlowSite, 0, base);
+      const sim::Nanos deadline =
+          health_.tracking() ? health_.deadline() : took;
+      if (took <= deadline) {
+        health_.report(0, Reach::kUp, Sample::kServed, took);
+        cost += took - base;  // the caller charges the base op_cost itself
         return RemoteErr::kOk;
       }
+      cost += deadline;
+      health_.report(0, Reach::kNone, Sample::kCut, deadline);
     } else {
       // Attempt timed out hard: charge the wire round trip plus the
       // deadline the client waited before giving up on it. The deadline is
-      // adaptive (scaled from the healthy-regime p99) when a health board
-      // is attached; the fixed constant is only the no-board fallback.
+      // adaptive (scaled from the healthy-regime p99) while tracking; the
+      // fixed constant is only the untracked fallback.
       const sim::Nanos waited =
-          health_ != nullptr
-              ? health_->deadline()
+          health_.tracking()
+              ? health_.deadline()
               : sim::calib::kKvOpTimeout;  // dpc-lint: ok(fixed-deadline)
       cost += op_cost(is_read, 0) + waited;
-      if (health_ != nullptr) health_->record(0, waited, /*ok=*/false);
-      breaker_.on_failure();
+      health_.report(0, Reach::kDown, Sample::kCut, waited);
     }
     if (attempt >= retry_.max_attempts) {
       if (retry_exhausted_ != nullptr) retry_exhausted_->add();
       return RemoteErr::kTimeout;
     }
-    if (!breaker_.allow()) {
-      // Our own failures (plus concurrent ones) opened the circuit
-      // mid-retry; don't keep hammering a declared-dead backend.
+    if (!health_.allow_hard(0)) {
+      // Our own failures (plus concurrent ones) opened the peer mid-retry;
+      // don't keep hammering a declared-dead backend.
       if (retry_exhausted_ != nullptr) retry_exhausted_->add();
       return RemoteErr::kUnavailable;
     }
@@ -95,10 +87,10 @@ Timed<std::optional<Bytes>> RemoteKv::get(std::string_view key) const {
   // Server-side verification before the value crosses the wire: a value
   // that fails its CRC is withheld as a typed integrity error, which is
   // not retryable (re-reading rotted cells returns the same bytes).
-  // Invariant: kCorrupt never touches the circuit breaker. The wire and
-  // server answered on time — begin_op already recorded the success — so a
-  // rot burst must not open the breaker and mask a *liveness* signal with
-  // an *integrity* one (test_tail_tolerance.TailKvCorrupt guards this).
+  // Invariant: kCorrupt never opens the peer. The wire and server answered
+  // on time — begin_op already reported the success — so a rot burst must
+  // not mask a *liveness* signal with an *integrity* one
+  // (test_tail_tolerance.TailKvCorrupt guards this).
   ValueCheck check = ValueCheck::kOk;
   out.value = store_->get_checked(key, &check);
   if (check == ValueCheck::kCorrupt) {

@@ -8,14 +8,13 @@
 // attached, each op may suffer injectable transient failures at the
 // "kv.remote/op" site. Failed attempts are retried internally with
 // exponential backoff (cost folded into the op's Timed cost); a run of
-// consecutive failures opens a circuit breaker that fast-fails subsequent
-// ops until a probe succeeds. Ops that exhaust the budget (or hit an open
-// breaker) report RemoteErr — callers must check Timed::ok() before
-// trusting the value.
+// consecutive failures opens the store's peer (fault::PeerHealth), which
+// fast-fails subsequent ops until a probe succeeds. Ops that exhaust the
+// budget (or hit an open peer) report RemoteErr — callers must check
+// Timed::ok() before trusting the value.
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -54,7 +53,7 @@ class RemoteKv {
   explicit RemoteKv(KvStore& store, fault::FaultInjector* fault = nullptr,
                     obs::Registry* registry = nullptr,
                     const fault::RetryPolicy& retry = {},
-                    const fault::CircuitBreaker::Config& breaker = {});
+                    const fault::BreakerConfig& breaker = {});
 
   /// Fault-injection site for every remote op's wire round trip.
   static constexpr std::string_view kFaultSite = "kv.remote/op";
@@ -62,12 +61,15 @@ class RemoteKv {
   /// correctly but its service time stretches — gray failure.
   static constexpr std::string_view kSlowSite = "kv.remote/slow";
 
-  /// Attaches a single-peer health board ("kv"): observed op latencies feed
-  /// an adaptive deadline that replaces the fixed kKvOpTimeout in the retry
-  /// loop, and a sustained-timeout quarantine fast-fails ops between
-  /// reintegration probes. Gauges/counters land in the ctor's registry.
+  /// Switches on latency tracking in the store's single-peer board ("kv"):
+  /// observed op latencies feed an adaptive deadline that replaces the
+  /// fixed kKvOpTimeout in the retry loop, and a sustained-timeout
+  /// quarantine fast-fails ops between reintegration probes.
+  /// Gauges/counters land in the ctor's registry.
   void enable_health(const fault::HealthConfig& cfg = {});
-  fault::HealthBoard* health() const { return health_.get(); }
+  /// The store's peer state: open/half-open always, slow once
+  /// enable_health() ran.
+  fault::PeerHealth& health() const { return health_; }
 
   Timed<std::optional<Bytes>> get(std::string_view key) const;
   Timed<bool> put(std::string_view key, std::span<const std::byte> value);
@@ -87,16 +89,13 @@ class RemoteKv {
 
   KvStore& store() { return *store_; }
   const KvStore& store() const { return *store_; }
-  fault::CircuitBreaker::State breaker_state() const {
-    return breaker_.state();
-  }
 
   /// Round-trip cost of a KV op moving `payload` bytes in the given
   /// direction (read = server→client).
   static sim::Nanos op_cost(bool is_read, std::uint64_t payload);
 
  private:
-  /// Runs the injectable pre-flight of one op: breaker gate + failed
+  /// Runs the injectable pre-flight of one op: peer gate + failed
   /// attempts + backoff. On kOk the caller performs the real store access;
   /// on error the op's value is meaningless. Accumulates all modelled retry
   /// latency into `cost`.
@@ -104,11 +103,9 @@ class RemoteKv {
 
   KvStore* store_;
   fault::FaultInjector* fault_;
-  obs::Registry* registry_;
   fault::RetryPolicy retry_;
-  mutable fault::CircuitBreaker breaker_;
-  // mutable: begin_op is const (reads are const ops) but records latencies.
-  mutable std::unique_ptr<fault::HealthBoard> health_;
+  // mutable: begin_op is const (reads are const ops) but gates and reports.
+  mutable fault::PeerHealth health_;
   mutable std::atomic<std::uint64_t> op_seq_{0};  // jitter salt
   obs::Counter* retry_attempts_ = nullptr;
   obs::Counter* retry_exhausted_ = nullptr;

@@ -33,7 +33,7 @@
 //   kDriver       per-queue transport drivers (nvme-ini, virtqueue, pcache)
 //   kStore        disaggregated KV store shards
 //   kDevice       device model shards (ssd)
-//   kLeaf         may be acquired under anything (fault injector, breaker)
+//   kLeaf         may be acquired under anything (fault injector, peer health)
 #pragma once
 
 #include <cstdint>

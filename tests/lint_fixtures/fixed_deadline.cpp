@@ -1,11 +1,11 @@
 // dpc_lint negative fixture: fixed-deadline.
 //
 // The health-scored backends (src/dfs/, src/kv/) cut retries at
-// HealthBoard::deadline() — the scaled observed p99 — not at the fixed
+// PeerHealth::deadline() — the scaled observed p99 — not at the fixed
 // calib timeout constants, which neither track a slow regime nor cut a
 // gray-failing peer short. Any mention of the constants in a
-// deadline-scoped file is a finding; the no-board fallback keeps its
-// constant under an explicit suppression.
+// deadline-scoped file is a finding; the untracked fallback (latency
+// tracking off) keeps its constant under an explicit suppression.
 #include <cstdint>
 
 namespace dpc::lint_fixture {
@@ -27,11 +27,11 @@ inline std::int64_t nvme_cutoff_fixed() {
   return calib::kNvmeCommandTimeout;  // expect: fixed-deadline
 }
 
-// Control: the no-board fallback — a site constructed before any
-// HealthBoard exists — keeps the constant under an explicit suppression
-// and must NOT be reported.
+// Control: the untracked fallback — a PeerHealth whose latency tracking
+// is off has no deadline() to offer — keeps the constant under an explicit
+// suppression and must NOT be reported.
 inline std::int64_t retry_budget_fallback() {
-  return calib::kKvOpTimeout;  // dpc-lint: ok(fixed-deadline) no-board fallback
+  return calib::kKvOpTimeout;  // dpc-lint: ok(fixed-deadline) untracked path
 }
 
 }  // namespace dpc::lint_fixture

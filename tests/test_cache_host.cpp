@@ -134,6 +134,24 @@ TEST_F(HostPlaneFixture, FillAfterInterveningWriteOrInvalidateIsDropped) {
   EXPECT_EQ(out[0], std::byte{3});
 }
 
+TEST_F(HostPlaneFixture, VoidFillsDropsEveryOutstandingFill) {
+  // Truncate's fence: tickets of pages that were never cached (so no
+  // invalidate() reaches their bucket) are voided too, in every bucket.
+  std::vector<std::uint64_t> tickets;
+  for (std::uint64_t lpn = 0; lpn < 16; ++lpn)
+    tickets.push_back(plane.fill_ticket(9, lpn));
+  plane.void_fills();
+  std::vector<std::byte> out(4096);
+  for (std::uint64_t lpn = 0; lpn < 16; ++lpn) {
+    plane.fill_clean(9, lpn, page(1), tickets[lpn]);
+    EXPECT_FALSE(plane.read(9, lpn, out)) << lpn;
+  }
+  // A ticket taken after the void fills normally.
+  plane.fill_clean(9, 3, page(4), plane.fill_ticket(9, 3));
+  ASSERT_TRUE(plane.read(9, 3, out));
+  EXPECT_EQ(out[0], std::byte{4});
+}
+
 TEST_F(HostPlaneFixture, InvalidateFreesEntry) {
   ASSERT_EQ(plane.write(5, 5, page(1)), HostCachePlane::WriteResult::kOk);
   EXPECT_TRUE(plane.invalidate(5, 5));

@@ -303,7 +303,7 @@ TEST(ChaosIntegration, BreakerOpensUnderBlackoutAndRecovers) {
   obs::Registry reg;
   fault::FaultInjector fi(chaos_seed(), &reg);
   kv::KvStore store(4);
-  fault::CircuitBreaker::Config bcfg;
+  fault::BreakerConfig bcfg;
   bcfg.failure_threshold = 8;
   bcfg.probe_interval = 16;
   kv::RemoteKv rkv(store, &fi, &reg, {}, bcfg);
@@ -314,7 +314,7 @@ TEST(ChaosIntegration, BreakerOpensUnderBlackoutAndRecovers) {
   // convert hammering into fast-fails.
   fi.arm(kv::RemoteKv::kFaultSite, 1.0);
   int until_open = 0;
-  while (rkv.breaker_state() != fault::CircuitBreaker::State::kOpen) {
+  while (rkv.health().state(0) != fault::PeerHealth::State::kOpen) {
     const auto r = rkv.put("blackout", payload);
     EXPECT_FALSE(r.ok());
     ASSERT_LT(++until_open, 100) << "breaker never opened";
@@ -334,7 +334,7 @@ TEST(ChaosIntegration, BreakerOpensUnderBlackoutAndRecovers) {
   for (int i = 0; i < 100 && !recovered; ++i)
     recovered = rkv.put("healed", payload).ok();
   EXPECT_TRUE(recovered);
-  EXPECT_EQ(rkv.breaker_state(), fault::CircuitBreaker::State::kClosed);
+  EXPECT_EQ(rkv.health().state(0), fault::PeerHealth::State::kHealthy);
   EXPECT_GT(reg.counter("breaker/probes").value(), 0u);
   EXPECT_GT(reg.counter("breaker/closes").value(), 0u);
   EXPECT_TRUE(rkv.get("healed").ok());

@@ -383,6 +383,69 @@ TEST(DpcSystem, DirectWriteRacingReadMissLeavesNoStaleCachedPage) {
   EXPECT_EQ(stale, 0) << "buffered reads returned a pre-write page";
 }
 
+TEST(DpcSystem, TruncateRacingReadMissLeavesNoStaleCachedPage) {
+  // A buffered read miss that reaches the DPU before a racing truncate
+  // fetches the pre-truncate bytes. Its fill must not cache them past the
+  // new EOF: once an extending write re-grows the file, the truncated range
+  // has to read back as zeros, not as the old bytes.
+  DpcOptions o = small_opts();
+  o.with_dfs = false;
+  o.cache_geo = {4096, cache::CacheMode::kWrite, 1024, 64};
+  // Cache coherence is under test, not the NVMe deadline, which a
+  // sanitizer's slowdown can make fire.
+  o.nvme_timeout_ms = 10000;
+  DpcSystem sys(o);
+  sys.start_dpu();
+  constexpr std::uint64_t kPage = 4096;
+  constexpr std::uint64_t kPagesPerIo = 8;
+  constexpr int kIters = 1500;
+  const std::uint64_t io = kPage * kPagesPerIo;
+  const auto f = sys.create(kvfs::kRootIno, "trunc-race");
+  ASSERT_TRUE(f.ok());
+
+  // The reader spins on `round` instead of sleeping on a barrier, so its
+  // read and the truncate start together and race on the DPU.
+  std::atomic<int> round{0};
+  std::barrier done(2);
+  std::atomic<int> reader_errors{0};
+  std::thread reader([&] {
+    std::vector<std::byte> got(io);
+    for (int i = 1; i <= kIters; ++i) {
+      while (round.load(std::memory_order_acquire) != i) {
+      }
+      if (!sys.read(f.ino, 0, got, false).ok()) ++reader_errors;
+      done.arrive_and_wait();
+    }
+  });
+  int writer_errors = 0;
+  int stale = 0;
+  const std::vector<std::byte> zeros(io - kPage);
+  std::vector<std::byte> got(io - kPage);
+  for (int i = 1; i <= kIters; ++i) {
+    // Rewrite the first io bytes (which also uncaches them, so the reader's
+    // read is a miss), cut the file back to one page while that read is in
+    // flight, then re-grow it past the cut with a write beyond. Failures are
+    // counted, not asserted: returning early would strand the reader.
+    if (!sys.write(f.ino, 0, bytes(io, static_cast<std::uint64_t>(i)), true)
+             .ok())
+      ++writer_errors;
+    round.store(i, std::memory_order_release);
+    if (!sys.truncate(f.ino, kPage).ok()) ++writer_errors;
+    done.arrive_and_wait();
+    if (!sys.write(f.ino, io, bytes(kPage, 7), true).ok()) ++writer_errors;
+    if (!sys.read(f.ino, kPage, got, false).ok())
+      ++writer_errors;
+    else if (got != zeros)
+      ++stale;
+  }
+  reader.join();
+  sys.stop_dpu();
+  EXPECT_EQ(reader_errors.load(), 0);
+  EXPECT_EQ(writer_errors, 0);
+  EXPECT_EQ(stale, 0) << "bytes past a truncate's EOF came back from the "
+                         "host cache";
+}
+
 TEST(DpcSystem, DfsPathThroughDispatchBit) {
   DpcSystem sys(small_opts());
   const auto c = sys.dfs_create("/dfs/file", 1 << 20);

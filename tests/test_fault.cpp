@@ -1,5 +1,7 @@
 // Unit tests for the fault-injection framework: deterministic schedules,
-// site gating, probability bounds, retry backoff, and the circuit breaker.
+// site gating, probability bounds, retry backoff, and the per-peer
+// open/half-open machine (the circuit breaker tier of PeerHealth).
+#include "fault/health.hpp"
 #include "fault/injector.hpp"
 #include "fault/retry.hpp"
 
@@ -186,161 +188,165 @@ TEST(RetryPolicy, JitteredNeverRoundsPositiveBaseToZero) {
   EXPECT_EQ(jittered(sim::Nanos{0}, 1.9, 7, 7).ns, 0);
 }
 
-TEST(CircuitBreaker, OpensAfterThresholdAndProbes) {
+using State = PeerHealth::State;
+constexpr auto kUp = PeerHealth::Reach::kUp;
+constexpr auto kDown = PeerHealth::Reach::kDown;
+
+TEST(PeerHealth, OpensAfterThresholdAndProbes) {
   obs::Registry reg;
-  CircuitBreaker::Config cfg;
+  BreakerConfig cfg;
   cfg.failure_threshold = 3;
   cfg.probe_interval = 4;
-  CircuitBreaker br(cfg, &reg);
+  PeerHealth br("t", 1, cfg, &reg);
 
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(br.state(0), State::kHealthy);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(br.allow());
-    br.on_failure();
+    EXPECT_TRUE(br.allow(0));
+    br.report(0, kDown);
   }
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kOpen);
+  EXPECT_EQ(br.state(0), State::kOpen);
   EXPECT_EQ(reg.counter("breaker/opens").value(), 1u);
 
   // While open: fast-fail until the probe_interval-th gated call probes.
   int allowed = 0;
-  for (int i = 0; i < 4; ++i) allowed += br.allow() ? 1 : 0;
+  for (int i = 0; i < 4; ++i) allowed += br.allow(0) ? 1 : 0;
   EXPECT_EQ(allowed, 1);  // exactly the probe
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
+  EXPECT_EQ(br.state(0), State::kHalfOpen);
   EXPECT_EQ(reg.counter("breaker/probes").value(), 1u);
   EXPECT_EQ(reg.counter("breaker/fast_fails").value(), 3u);
 
   // Failed probe → back to open.
-  br.on_failure();
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kOpen);
+  br.report(0, kDown);
+  EXPECT_EQ(br.state(0), State::kOpen);
 
   // Next probe succeeds → closed.
   allowed = 0;
-  for (int i = 0; i < 4; ++i) allowed += br.allow() ? 1 : 0;
+  for (int i = 0; i < 4; ++i) allowed += br.allow(0) ? 1 : 0;
   EXPECT_EQ(allowed, 1);
-  br.on_success();
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kClosed);
+  br.report(0, kUp);
+  EXPECT_EQ(br.state(0), State::kHealthy);
   EXPECT_EQ(reg.counter("breaker/closes").value(), 1u);
-  EXPECT_TRUE(br.allow());
+  EXPECT_TRUE(br.allow(0));
 }
 
-// Drives the breaker open and to the half-open probe on the calling thread.
-void open_and_probe(CircuitBreaker& br, const CircuitBreaker::Config& cfg) {
+// Drives the peer open and to the half-open probe on the calling thread.
+void open_and_probe(PeerHealth& br, const BreakerConfig& cfg) {
   for (int i = 0; i < cfg.failure_threshold; ++i) {
-    ASSERT_TRUE(br.allow());
-    br.on_failure();
+    ASSERT_TRUE(br.allow(0));
+    br.report(0, kDown);
   }
-  ASSERT_EQ(br.state(), CircuitBreaker::State::kOpen);
-  for (int i = 0; i < cfg.probe_interval - 1; ++i) ASSERT_FALSE(br.allow());
-  ASSERT_TRUE(br.allow());  // this thread owns the probe
-  ASSERT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
+  ASSERT_EQ(br.state(0), State::kOpen);
+  for (int i = 0; i < cfg.probe_interval - 1; ++i) ASSERT_FALSE(br.allow(0));
+  ASSERT_TRUE(br.allow(0));  // this thread owns the probe
+  ASSERT_EQ(br.state(0), State::kHalfOpen);
 }
 
 /// Runs `fn` on a different thread than the caller's — a "straggler": an
-/// attempt admitted before the breaker opened, reporting in mid-probe.
+/// attempt admitted before the peer opened, reporting in mid-probe.
 template <typename Fn>
 void on_other_thread(Fn fn) {
   std::thread t(fn);
   t.join();
 }
 
-TEST(CircuitBreaker, HalfOpenStragglerFailureCannotReopen) {
+TEST(PeerHealth, HalfOpenStragglerFailureCannotReopen) {
   // Regression: a straggler's on_failure used to flip HalfOpen → Open and
   // re-arm the gated-call counter, letting a *second* concurrent probe
   // through while the first was still in flight.
-  CircuitBreaker::Config cfg;
+  BreakerConfig cfg;
   cfg.failure_threshold = 2;
   cfg.probe_interval = 4;
-  CircuitBreaker br(cfg);
+  PeerHealth br("t", 1, cfg);
   open_and_probe(br, cfg);
 
-  on_other_thread([&] { br.on_failure(); });
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
+  on_other_thread([&] { br.report(0, kDown); });
+  EXPECT_EQ(br.state(0), State::kHalfOpen);
   // And crucially: no second probe is admitted while the first is out.
-  on_other_thread([&] { EXPECT_FALSE(br.allow()); });
+  on_other_thread([&] { EXPECT_FALSE(br.allow(0)); });
 
   // The owner's own verdict still resolves the probe.
-  br.on_failure();
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kOpen);
+  br.report(0, kDown);
+  EXPECT_EQ(br.state(0), State::kOpen);
 }
 
-TEST(CircuitBreaker, HalfOpenStragglerSuccessCannotClose) {
+TEST(PeerHealth, HalfOpenStragglerSuccessCannotClose) {
   // A straggler's success is evidence that predates the outage — it must
-  // not close the breaker out from under the in-flight probe.
-  CircuitBreaker::Config cfg;
+  // not close the peer out from under the in-flight probe.
+  BreakerConfig cfg;
   cfg.failure_threshold = 2;
   cfg.probe_interval = 4;
-  CircuitBreaker br(cfg);
+  PeerHealth br("t", 1, cfg);
   open_and_probe(br, cfg);
 
-  on_other_thread([&] { br.on_success(); });
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
+  on_other_thread([&] { br.report(0, kUp); });
+  EXPECT_EQ(br.state(0), State::kHalfOpen);
 
-  br.on_success();  // the probe's own success closes
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kClosed);
+  br.report(0, kUp);  // the probe's own success closes
+  EXPECT_EQ(br.state(0), State::kHealthy);
 }
 
-TEST(CircuitBreaker, HalfOpenAdmitsExactlyOneConcurrentProbe) {
+TEST(PeerHealth, HalfOpenAdmitsExactlyOneConcurrentProbe) {
   // Two threads race allow() at the probe boundary: exactly one may win
   // the probe; the loser fast-fails.
   for (int round = 0; round < 50; ++round) {
-    CircuitBreaker::Config cfg;
+    BreakerConfig cfg;
     cfg.failure_threshold = 1;
     cfg.probe_interval = 1;  // every gated call is probe-eligible
-    CircuitBreaker br(cfg);
-    ASSERT_TRUE(br.allow());
-    br.on_failure();
-    ASSERT_EQ(br.state(), CircuitBreaker::State::kOpen);
+    PeerHealth br("t", 1, cfg);
+    ASSERT_TRUE(br.allow(0));
+    br.report(0, kDown);
+    ASSERT_EQ(br.state(0), State::kOpen);
 
     std::atomic<int> granted{0};
     std::vector<std::thread> ts;
     for (int t = 0; t < 2; ++t)
       ts.emplace_back([&] {
-        if (br.allow()) granted.fetch_add(1);
+        if (br.allow(0)) granted.fetch_add(1);
       });
     for (auto& t : ts) t.join();
     EXPECT_EQ(granted.load(), 1);
-    EXPECT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
+    EXPECT_EQ(br.state(0), State::kHalfOpen);
   }
 }
 
-TEST(CircuitBreaker, WedgedProbeIsTakenOver) {
+TEST(PeerHealth, WedgedProbeIsTakenOver) {
   // The probe owner crashes mid-attempt and never reports. After a full
   // probe interval of half-open fast-fails, the next gated call takes the
   // probe over instead of wedging half-open forever.
-  CircuitBreaker::Config cfg;
+  BreakerConfig cfg;
   cfg.failure_threshold = 2;
   cfg.probe_interval = 4;
-  CircuitBreaker br(cfg);
+  PeerHealth br("t", 1, cfg);
   for (int i = 0; i < cfg.failure_threshold; ++i) {
-    ASSERT_TRUE(br.allow());
-    br.on_failure();
+    ASSERT_TRUE(br.allow(0));
+    br.report(0, kDown);
   }
   // Another thread wins the probe… and goes silent.
   on_other_thread([&] {
-    for (int i = 0; i < cfg.probe_interval - 1; ++i) ASSERT_FALSE(br.allow());
-    ASSERT_TRUE(br.allow());
+    for (int i = 0; i < cfg.probe_interval - 1; ++i) ASSERT_FALSE(br.allow(0));
+    ASSERT_TRUE(br.allow(0));
   });
-  ASSERT_EQ(br.state(), CircuitBreaker::State::kHalfOpen);
+  ASSERT_EQ(br.state(0), State::kHalfOpen);
 
-  for (int i = 0; i < cfg.probe_interval; ++i) EXPECT_FALSE(br.allow());
-  EXPECT_TRUE(br.allow());  // takeover: this thread now owns the probe
-  br.on_success();
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(br.allow());
+  for (int i = 0; i < cfg.probe_interval; ++i) EXPECT_FALSE(br.allow(0));
+  EXPECT_TRUE(br.allow(0));  // takeover: this thread now owns the probe
+  br.report(0, kUp);
+  EXPECT_EQ(br.state(0), State::kHealthy);
+  EXPECT_TRUE(br.allow(0));
 }
 
-TEST(CircuitBreaker, SuccessResetsFailureStreak) {
-  CircuitBreaker::Config cfg;
+TEST(PeerHealth, SuccessResetsFailureStreak) {
+  BreakerConfig cfg;
   cfg.failure_threshold = 3;
-  CircuitBreaker br(cfg);
-  br.on_failure();
-  br.on_failure();
-  br.on_success();
-  br.on_failure();
-  br.on_failure();
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kClosed);
-  br.on_failure();
-  EXPECT_EQ(br.state(), CircuitBreaker::State::kOpen);
+  PeerHealth br("t", 1, cfg);
+  br.report(0, kDown);
+  br.report(0, kDown);
+  br.report(0, kUp);
+  br.report(0, kDown);
+  br.report(0, kDown);
+  EXPECT_EQ(br.state(0), State::kHealthy);
+  br.report(0, kDown);
+  EXPECT_EQ(br.state(0), State::kOpen);
 }
 
 }  // namespace

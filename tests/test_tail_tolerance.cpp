@@ -2,8 +2,9 @@
 // determinism, the per-peer health scoreboard (EWMA + streaming quantile +
 // adaptive deadline + quarantine round trip), hedged-read correctness
 // (cancelled losers charge nothing, reconstructs are bit-identical, the
-// token budget caps speculation), and the KV integrity/liveness split
-// (corrupt answers never open the circuit breaker).
+// token budget caps speculation), the data-server quarantine-then-open
+// cascade and per-peer state gauges, and the KV integrity/liveness split
+// (corrupt answers never open the peer).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -65,8 +66,22 @@ TEST(TailSlowInjection, LimpingPeerIsKeyed) {
 
 // ------------------------------------------------------- health board
 
+/// A board with latency tracking on, as enable_health() leaves it, fed
+/// latency samples only.
+struct Tracked : fault::PeerHealth {
+  Tracked(std::string_view group, int peers,
+          const fault::HealthConfig& cfg = {},
+          obs::Registry* registry = nullptr)
+      : PeerHealth(group, peers, {}, registry) {
+    enable_tracking(cfg);
+  }
+  void record(int peer, sim::Nanos observed, bool ok) {
+    report(peer, Reach::kNone, ok ? Sample::kServed : Sample::kCut, observed);
+  }
+};
+
 TEST(TailHealth, EwmaAndQuantileTrack) {
-  fault::HealthBoard hb("t", 4);
+  Tracked hb("t", 4);
   EXPECT_EQ(hb.ewma(0).ns, 0);
   EXPECT_EQ(hb.deadline(), hb.config().deadline_ceiling);  // unmeasured
   for (int i = 0; i < 64; ++i) hb.record(0, sim::micros(10.0), true);
@@ -81,7 +96,7 @@ TEST(TailHealth, EwmaAndQuantileTrack) {
 }
 
 TEST(TailHealth, AdaptiveDeadlineScalesCohortP99) {
-  fault::HealthBoard hb("t", 4);
+  Tracked hb("t", 4);
   for (int p = 0; p < 4; ++p)
     for (int i = 0; i < 32; ++i) hb.record(p, sim::micros(10.0), true);
   // 3 × 10 µs is below the floor: clamp up.
@@ -98,7 +113,7 @@ TEST(TailHealth, CensoredTimeoutsDoNotInflateDeadline) {
   // that censored value into the quantile window would let the deadline
   // chase its own output (p99 → deadline → 3× deadline → …) until the
   // stalls it exists to cut fit underneath it.
-  fault::HealthBoard hb("t", 4);
+  Tracked hb("t", 4);
   for (int p = 0; p < 4; ++p)
     for (int i = 0; i < 64; ++i) hb.record(p, sim::micros(60.0), true);
   const sim::Nanos before = hb.deadline();
@@ -143,7 +158,7 @@ TEST(TailQuarantine, RoundTrip) {
   cfg.slow_strikes = 3;
   cfg.probe_interval = 4;
   cfg.reintegrate_successes = 2;
-  fault::HealthBoard hb("t", 2, cfg, &reg);
+  Tracked hb("t", 2, cfg, &reg);
   for (int p = 0; p < 2; ++p)
     for (int i = 0; i < 16; ++i) hb.record(p, sim::micros(10.0), true);
   EXPECT_GT(hb.score(0), 0.0);
@@ -247,14 +262,14 @@ TEST(TailHedge, QuarantineRoundTripServesBitIdentical) {
   rig.fi.arm_slow(dfs::kFaultDsSlow, s);
 
   std::vector<std::byte> buf(rig.data.size());
-  const int strikes = rig.ds.health()->config().slow_strikes;
+  const int strikes = rig.ds.health().config().slow_strikes;
   for (int i = 0; i < strikes; ++i) {
     dfs::OpProfile p;
     ASSERT_TRUE(dfs::hedged_striped_read(rig.ds, rig.rs, rig.meta, 0, buf, p));
     EXPECT_EQ(std::memcmp(buf.data(), rig.data.data(), rig.data.size()), 0);
   }
-  EXPECT_TRUE(rig.ds.health()->quarantined(victim));
-  EXPECT_EQ(rig.ds.health()->quarantines(), 1u);
+  EXPECT_TRUE(rig.ds.health().quarantined(victim));
+  EXPECT_EQ(rig.ds.health().quarantines(), 1u);
 
   // Quarantined: the victim is skipped outright (no deadline paid) and the
   // covering shards launch immediately — latency back at healthy levels.
@@ -265,20 +280,20 @@ TEST(TailHedge, QuarantineRoundTripServesBitIdentical) {
 
   // Cure the limp; reintegration probes bring the victim back.
   rig.fi.disarm_slow(dfs::kFaultDsSlow);
-  for (int i = 0; i < 40 && rig.ds.health()->quarantined(victim); ++i) {
+  for (int i = 0; i < 40 && rig.ds.health().quarantined(victim); ++i) {
     dfs::OpProfile p;
     ASSERT_TRUE(dfs::hedged_striped_read(rig.ds, rig.rs, rig.meta, 0, buf, p));
     EXPECT_EQ(std::memcmp(buf.data(), rig.data.data(), rig.data.size()), 0);
   }
-  EXPECT_FALSE(rig.ds.health()->quarantined(victim));
-  EXPECT_EQ(rig.ds.health()->reintegrations(), 1u);
+  EXPECT_FALSE(rig.ds.health().quarantined(victim));
+  EXPECT_EQ(rig.ds.health().reintegrations(), 1u);
 }
 
 TEST(TailHedge, BudgetCapsSpeculation) {
   fault::HealthConfig cfg;
   cfg.hedge_budget = 0.1;
   cfg.hedge_token_cap = 2.0;
-  fault::HealthBoard hb("t", 4, cfg);
+  Tracked hb("t", 4, cfg);
   EXPECT_FALSE(hb.try_hedge(1));  // nothing earned yet
   hb.note_primary(10);            // earns exactly one token
   EXPECT_TRUE(hb.try_hedge(1));
@@ -289,9 +304,147 @@ TEST(TailHedge, BudgetCapsSpeculation) {
 
   fault::HealthConfig off;
   off.hedge_budget = 0.0;
-  fault::HealthBoard none("t2", 4, off);
+  Tracked none("t2", 4, off);
   none.note_primary(1000);
   EXPECT_FALSE(none.try_hedge(1));  // budget zero disables hedging outright
+}
+
+// ------------------------------------------- data-server breaker seam
+
+/// One RS(4,2) stripe of file ino 1: role r lives on server r + 1, so
+/// server 1 holds role 0 and server 2 holds role 1.
+struct DsBreakerRig {
+  obs::Registry reg;
+  fault::FaultInjector fi{5, &reg};
+  dfs::DataServers ds{sim::calib::kDataServers, &fi, &reg};
+  ec::ReedSolomon rs{4, 2};
+  dfs::FileMeta meta;
+  std::vector<std::byte> data = bytes(32 * 1024, 9);
+  std::vector<std::byte> buf = std::vector<std::byte>(8 * 1024);
+
+  DsBreakerRig() {
+    meta.ino = 1;
+    meta.size = data.size();
+    dfs::OpProfile wp;
+    EXPECT_TRUE(dfs::striped_write(ds, rs, meta, 0, data, wp));
+  }
+
+  /// Reads shard `role` once; returns whether clean bytes came back.
+  bool read(std::uint32_t role, bool* fast = nullptr) {
+    dfs::OpProfile p;
+    bool failed = false;
+    const bool ok = ds.read_shard(meta.ino, 0, role, buf, p, &failed);
+    if (fast != nullptr) *fast = failed && p.ds_ops == 0;
+    return ok;
+  }
+
+  std::uint64_t ctr(std::string_view name) {
+    return reg.counter(name).value();
+  }
+};
+
+TEST(TailDsBreaker, OutageOpensFastFailsAndProbeCloses) {
+  // Health off: only the per-server breaker watches server 1.
+  DsBreakerRig rig;
+  rig.ds.fail_server(1);
+  // Eight failed accesses (the default threshold) reach the wire; the
+  // eighth opens the breaker.
+  for (int i = 0; i < 8; ++i) {
+    bool fast = true;
+    EXPECT_FALSE(rig.read(0, &fast));
+    EXPECT_FALSE(fast) << i;
+  }
+  EXPECT_EQ(rig.ctr("breaker/opens"), 1u);
+  EXPECT_EQ(rig.ctr("breaker/fast_fails"), 0u);
+  // Open: 15 fast-fails, then the 16th gated call probes the still-dead
+  // server and fails, then 4 more fast-fails.
+  int fast_n = 0;
+  for (int i = 0; i < 20; ++i) {
+    bool fast = false;
+    EXPECT_FALSE(rig.read(0, &fast));
+    fast_n += fast ? 1 : 0;
+  }
+  EXPECT_EQ(fast_n, 19);
+  EXPECT_EQ(rig.ctr("breaker/probes"), 1u);
+  EXPECT_EQ(rig.ctr("breaker/fast_fails"), 19u);
+  // Healed: gated calls 21..31 still fast-fail, call 32 probes, succeeds
+  // and closes the breaker; reads then flow again.
+  rig.ds.heal_server(1);
+  int ok_n = 0;
+  for (int i = 0; i < 12; ++i) ok_n += rig.read(0) ? 1 : 0;
+  EXPECT_EQ(ok_n, 1);
+  EXPECT_TRUE(rig.read(0));
+  EXPECT_EQ(std::memcmp(rig.buf.data(), rig.data.data(), rig.buf.size()), 0);
+  EXPECT_EQ(rig.ctr("breaker/opens"), 1u);
+  EXPECT_EQ(rig.ctr("breaker/probes"), 2u);
+  EXPECT_EQ(rig.ctr("breaker/closes"), 1u);
+  EXPECT_EQ(rig.ctr("breaker/fast_fails"), 30u);
+  EXPECT_EQ(rig.ctr("dfs.ds/failed_reads"), 39u);
+}
+
+TEST(TailDsBreaker, QuarantineThenOpenCascade) {
+  // Health on: server 1 is down and server 2 limps 10x. The dead server is
+  // quarantined first (6 strikes), and the breaker, fed only the accesses
+  // the quarantine gate lets through, opens later. Every counter below was
+  // read off this exact access sequence.
+  DsBreakerRig rig;
+  rig.ds.enable_health();
+  for (int i = 0; i < 32; ++i)
+    for (std::uint32_t role = 0; role < 6; ++role) EXPECT_TRUE(rig.read(role));
+  rig.ds.fail_server(1);
+  fault::FaultInjector::SlowSpec limp;
+  limp.multiplier = 10.0;
+  limp.peer = 2;
+  rig.fi.arm_slow(dfs::kFaultDsSlow, limp);
+  for (int i = 0; i < 200; ++i)
+    for (std::uint32_t role = 0; role < 6; ++role) (void)rig.read(role);
+  EXPECT_TRUE(rig.ds.health().quarantined(1));
+  EXPECT_TRUE(rig.ds.health().quarantined(2));
+  const std::uint64_t q_probes = rig.ctr("health/ds/probes");
+  const std::uint64_t b_probes = rig.ctr("breaker/probes");
+  EXPECT_EQ(rig.ctr("health/ds/quarantines"), 2u);
+  EXPECT_EQ(q_probes, 48u);
+  EXPECT_EQ(rig.ctr("breaker/opens"), 1u);
+  EXPECT_EQ(b_probes, 1u);
+  EXPECT_EQ(rig.ctr("breaker/fast_fails"), 21u);
+
+  rig.ds.heal_server(1);
+  rig.fi.disarm_slow(dfs::kFaultDsSlow);
+  for (int i = 0; i < 300; ++i)
+    for (std::uint32_t role = 0; role < 6; ++role) (void)rig.read(role);
+  EXPECT_FALSE(rig.ds.health().quarantined(1));
+  EXPECT_FALSE(rig.ds.health().quarantined(2));
+  for (std::uint32_t role = 0; role < 6; ++role) EXPECT_TRUE(rig.read(role));
+  EXPECT_EQ(rig.ctr("health/ds/quarantines"), 2u);
+  EXPECT_EQ(rig.ctr("health/ds/reintegrations"), 2u);
+  EXPECT_EQ(rig.ctr("health/ds/probes"), 63u);
+  EXPECT_EQ(rig.ctr("breaker/opens"), 1u);
+  EXPECT_EQ(rig.ctr("breaker/probes"), 2u);
+  EXPECT_EQ(rig.ctr("breaker/closes"), 1u);
+  EXPECT_EQ(rig.ctr("breaker/fast_fails"), 30u);
+}
+
+TEST(TailDsBreaker, StateGaugeIsPerPeer) {
+  // Each server publishes its own state; opening server 1 must not show on
+  // any of its seven siblings' gauges.
+  using State = fault::PeerHealth::State;
+  DsBreakerRig rig;
+  const auto gauge = [&](int s) {
+    return rig.reg.gauge("health/ds" + std::to_string(s) + "/state").load();
+  };
+  rig.ds.fail_server(1);
+  for (int i = 0; i < 8; ++i) EXPECT_FALSE(rig.read(0));
+  ASSERT_EQ(rig.ds.health().state(1), State::kOpen);
+  for (int s = 0; s < rig.ds.servers(); ++s)
+    EXPECT_EQ(gauge(s), static_cast<std::int64_t>(s == 1 ? State::kOpen
+                                                          : State::kHealthy))
+        << "server " << s;
+  // The 16th gated call probes: half-open until the probe reports.
+  for (int i = 0; i < 15; ++i) EXPECT_FALSE(rig.read(0));
+  ASSERT_TRUE(rig.ds.health().allow(1));
+  EXPECT_EQ(gauge(1), static_cast<std::int64_t>(State::kHalfOpen));
+  rig.ds.health().report(1, fault::PeerHealth::Reach::kUp);
+  EXPECT_EQ(gauge(1), static_cast<std::int64_t>(State::kHealthy));
 }
 
 // ------------------------------------------------------- KV integrity
@@ -303,7 +456,7 @@ TEST(TailKvCorrupt, NoBreakerOpensOnIntegrityErrors) {
   store.attach_fault(&fi);
   fault::RetryPolicy rp;
   rp.max_attempts = 3;
-  fault::CircuitBreaker::Config bc;
+  fault::BreakerConfig bc;
   bc.failure_threshold = 4;
   kv::RemoteKv kv(store, &fi, &reg, rp, bc);
   kv.enable_health();
@@ -319,8 +472,8 @@ TEST(TailKvCorrupt, NoBreakerOpensOnIntegrityErrors) {
     const auto r = kv.get("k");
     EXPECT_EQ(r.err, kv::RemoteErr::kCorrupt);
   }
-  EXPECT_EQ(kv.breaker_state(), fault::CircuitBreaker::State::kClosed);
-  EXPECT_FALSE(kv.health()->quarantined(0));
+  EXPECT_EQ(kv.health().state(0), fault::PeerHealth::State::kHealthy);
+  EXPECT_FALSE(kv.health().quarantined(0));
   EXPECT_EQ(reg.counter("kv.remote/corrupt_reads").value(), 20u);
   EXPECT_EQ(reg.counter("breaker/opens").value(), 0u);
   fi.disarm(kv::kFaultKvBitRot);
@@ -330,7 +483,7 @@ TEST(TailKvCorrupt, NoBreakerOpensOnIntegrityErrors) {
   fi.arm(kv::RemoteKv::kFaultSite, 1.0);
   (void)kv.get("k");
   (void)kv.get("k");
-  EXPECT_EQ(kv.breaker_state(), fault::CircuitBreaker::State::kOpen);
+  EXPECT_EQ(kv.health().state(0), fault::PeerHealth::State::kOpen);
 }
 
 }  // namespace
