@@ -55,12 +55,11 @@ class KvfsCacheBackend final : public cache::CacheBackend {
   bool write_page(std::uint64_t inode, std::uint64_t lpn,
                   std::span<const std::byte> src,
                   sim::Nanos& cost) override {
-    // Note on ordering: a flush may land before the adapter's async size
-    // update and transiently grow the file to the page boundary; the
-    // in-flight truncate/size RPC serializes after it on the inode lock
-    // and restores the exact size (and zeroes the boundary tail). The
-    // adapter also drops/zeroes cached pages *before* issuing a truncate,
-    // so no stale page can regrow the file afterwards.
+    // Note on ordering: a flush may land before the adapter's grow-only
+    // size update; the page ends at the write's end, so the update that
+    // follows on the inode lock finds the size already there. The adapter
+    // drops/zeroes cached pages *before* issuing a truncate, so no stale
+    // page can regrow the file afterwards.
     auto res = fs_->write(inode, lpn * kCachePage, src);
     cost += res.cost;
     if (res.err == ENOENT) return true;  // racing unlink: drop the page
@@ -819,8 +818,11 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
       io.cost = sim::calib::kSyscallVfs + sim::calib::kFsAdapterOp;
       // Writes absorbed by host memory still need the file size to grow so
       // getattr/read bounds stay correct before the flush lands. The
-      // fs-adapter tracks the size it has already published and issues one
-      // truncate only on actual growth.
+      // fs-adapter tracks the size it has already published and sends one
+      // grow-only size update only on actual growth. Never a truncate: a
+      // concurrent appender's larger end (or the flusher's later page) may
+      // land first, and a stale, smaller end must not cut the file or drop
+      // that writer's dirty pages.
       const std::uint64_t end = offset + src.size();
       bool grow = false;
       {
@@ -835,7 +837,15 @@ Io DpcSystem::write(std::uint64_t ino, std::uint64_t offset,
           grow = true;
         }
       }
-      if (grow) (void)truncate(ino, end);
+      if (grow) {
+        nvme::IniDriver::Request g;
+        g.target = nvme::DispatchTarget::kStandalone;
+        g.tenant = thread_tenant();
+        g.inline_op = nvme::InlineOp::kGrow;
+        g.inode = ino;
+        g.offset = end;
+        (void)call(g, 0);
+      }
       latency_[static_cast<std::size_t>(OpClass::kWrite)]->record(io.cost);
       cache_hit_path_ns_->record(io.cost);
       return io;
@@ -895,14 +905,9 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
   // Before the DPU truncate, so no dirty page past the new end is flushed
   // behind it and re-grows the file.
   if (host_cache_) drop_past_eof();
-  bool shrinks = true;  // unless the adapter's size view says otherwise
   {
     sim::LockGuard lock(size_mu_);
-    auto [it, fresh] = size_cache_.try_emplace(ino, new_size);
-    if (!fresh) {
-      shrinks = new_size < it->second;
-      it->second = new_size;
-    }
+    size_cache_[ino] = new_size;
   }
   nvme::IniDriver::Request r;
   r.target = nvme::DispatchTarget::kStandalone;
@@ -911,13 +916,12 @@ Io DpcSystem::truncate(std::uint64_t ino, std::uint64_t new_size) {
   r.inode = ino;
   r.offset = new_size;
   const auto res = call(r, 0);
-  // And again after a shrink: a read miss that reached the DPU first holds
+  // And again after the DPU truncate: a read miss that reached it first holds
   // pre-truncate bytes. Voiding every fill ticket drops its fill if it has
   // not landed yet, and the second pass drops (or re-zeroes) it if it has.
   // A read that takes its ticket after the void was issued after the DPU
-  // truncate completed, so its bytes are current. Growth (every buffered
-  // append) needs neither: a read in flight stopped at the old EOF.
-  if (host_cache_ && shrinks) {
+  // truncate completed, so its bytes are current.
+  if (host_cache_) {
     host_cache_->void_fills();
     drop_past_eof();
   }

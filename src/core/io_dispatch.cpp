@@ -164,9 +164,12 @@ nvme::HandlerResult IoDispatch::handle_standalone_inline(
       r.backend_cost = sync_cost + res.cost;
       return r;
     }
-    case nvme::InlineOp::kTruncate: {
+    case nvme::InlineOp::kTruncate:
+    case nvme::InlineOp::kGrow: {
       stats_.inline_other.fetch_add(1, std::memory_order_relaxed);
-      auto res = fs_->truncate(cmd.inode, cmd.offset);
+      auto res = cmd.inline_op == nvme::InlineOp::kGrow
+                     ? fs_->grow(cmd.inode, cmd.offset)
+                     : fs_->truncate(cmd.inode, cmd.offset);
       charge(res.cost);
       if (!res.ok()) return fs_error(res.err);
       return r;

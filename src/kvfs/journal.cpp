@@ -1,6 +1,8 @@
 #include "kvfs/journal.hpp"
 
 #include <cstring>
+#include <optional>
+#include <set>
 
 #include "ec/crc32c.hpp"
 #include "nvm/wal.hpp"
@@ -96,6 +98,8 @@ kv::Bytes encode_journal_record(const JournalRecord& rec) {
   return out;
 }
 
+namespace {
+
 std::optional<JournalRecord> decode_journal_record(const kv::Bytes& v) {
   if (v.size() < sizeof(std::uint32_t)) return std::nullopt;
   std::uint32_t stored = 0;
@@ -130,18 +134,23 @@ std::optional<JournalRecord> decode_journal_record(const kv::Bytes& v) {
   return rec;
 }
 
+}  // namespace
+
 IntentJournal::IntentJournal(kv::RemoteKv& store, obs::Registry& registry,
-                             fault::FaultInjector* fault)
+                             fault::FaultInjector* fault,
+                             nvm::WriteAheadLog* wal)
     : store_(&store),
+      registry_(&registry),
       fault_(fault),
+      wal_(wal),
       appends_(registry.counter("kvfs.journal/appends")),
       commits_(registry.counter("kvfs.journal/commits")),
       append_fails_(registry.counter("kvfs.journal/append_fails")),
       commit_fails_(registry.counter("kvfs.journal/commit_fails")),
       wal_appends_(registry.counter("kvfs.journal/wal_appends")) {}
 
-std::uint64_t IntentJournal::begin(const JournalRecord& rec,
-                                   sim::Nanos& cost) {
+IntentTicket IntentJournal::begin(const JournalRecord& rec,
+                                  sim::Nanos& cost) {
   // Record ids share the ino counter: one increment primitive, globally
   // unique across mounts, no extra persistent key. A failed allocation or
   // append aborts the op before it mutates anything.
@@ -149,52 +158,44 @@ std::uint64_t IntentJournal::begin(const JournalRecord& rec,
   cost += id.cost;
   if (!id.ok()) {
     append_fails_.add();
-    return 0;
+    return {};
   }
+  IntentTicket ticket{id.value, false};
   const kv::Bytes payload = encode_journal_record(rec);
-  if (wal_ != nullptr && !wal_->degraded()) {
-    // Ride the NVM durability spine: one local persist instead of a remote
-    // KV round trip. A full/faulting log falls through to the KV path — the
-    // record must be durable *somewhere* before the op's first mutation.
-    if (wal_->append_intent(id.value, payload, cost) ==
-        nvm::AppendStatus::kOk) {
-      appends_.add();
-      wal_appends_.add();
-      fault::crash_point(fault_, kCrashAfterAppend);
-      return id.value;
+  // A full/faulting log falls through to the KV path — the record must be
+  // durable *somewhere* before the op's first mutation.
+  if (wal_ != nullptr && !wal_->degraded() &&
+      wal_->append_intent(id.value, payload, cost) == nvm::AppendStatus::kOk) {
+    ticket.in_wal = true;
+    wal_appends_.add();
+  } else {
+    const auto put = store_->put(journal_key(id.value), payload);
+    cost += put.cost;
+    if (!put.ok()) {
+      append_fails_.add();
+      return {};
     }
-  }
-  const auto put = store_->put(journal_key(id.value), payload);
-  cost += put.cost;
-  if (!put.ok()) {
-    append_fails_.add();
-    return 0;
   }
   appends_.add();
   fault::crash_point(fault_, kCrashAfterAppend);
-  return id.value;
+  return ticket;
 }
 
-void IntentJournal::commit(std::uint64_t record_id, sim::Nanos& cost) {
-  if (wal_ != nullptr && wal_->intent_open(record_id)) {
-    // The intent rode the WAL; its commit marker must land in the same log
-    // (a KV erase would target a key that was never written). A failed
-    // marker is tolerated exactly like a failed KV erase: the intent stays
-    // open, replay re-probes the complete op and finds nothing to do.
-    if (wal_->append_intent_commit(record_id, cost) == nvm::AppendStatus::kOk) {
-      commits_.add();
-    } else {
-      commit_fails_.add();
-    }
-    return;
+void IntentJournal::commit(const IntentTicket& ticket, sim::Nanos& cost) {
+  if (!ticket) return;
+  bool ok = false;
+  if (ticket.in_wal) {
+    ok = wal_->append_intent_commit(ticket.id, cost) == nvm::AppendStatus::kOk;
+  } else {
+    const auto er = store_->erase(journal_key(ticket.id));
+    cost += er.cost;
+    ok = er.ok();
   }
-  const auto er = store_->erase(journal_key(record_id));
-  cost += er.cost;
-  if (er.ok()) {
+  // A failed commit is tolerated: the record stays open and replay
+  // re-probes the (now complete) op, finding nothing left to do.
+  if (ok) {
     commits_.add();
   } else {
-    // Tolerated: the record stays behind and replay re-probes the (now
-    // complete) op, finding nothing left to do.
     commit_fails_.add();
   }
 }
@@ -369,23 +370,23 @@ bool replay_one(Raw& raw, const JournalRecord& rec) {
 
 }  // namespace
 
-bool replay_intent_record(kv::KvStore& raw_store, const JournalRecord& rec,
-                          sim::Nanos& cost) {
-  Raw raw{raw_store};
-  const bool forward = replay_one(raw, rec);
-  cost += raw.cost;
-  return forward;
-}
-
-JournalReplayReport IntentJournal::replay(kv::KvStore& raw_store,
-                                          obs::Registry* registry,
-                                          fault::FaultInjector* fault) {
+JournalReplayReport IntentJournal::replay(
+    std::span<const nvm::WalRecord> wal_log, bool crash_points) {
   JournalReplayReport rep;
+  kv::KvStore& raw_store = store_->store();
   Raw raw{raw_store};
 
-  // Snapshot the record set first: replay mutates the store, and scan_prefix
-  // holds shard locks during the visit.
+  // Gather the open records of both media first: replay mutates the store,
+  // and scan_prefix holds shard locks during the visit. A WAL intent is
+  // open while no later kIntentCommit names its id; every 'J' key is open.
+  // WAL records carry no key: the log checkpoint retires them.
+  std::set<std::uint64_t> committed;
+  for (const auto& r : wal_log)
+    if (r.kind == nvm::RecordKind::kIntentCommit) committed.insert(r.a);
   std::vector<std::pair<std::string, kv::Bytes>> records;
+  for (const auto& r : wal_log)
+    if (r.kind == nvm::RecordKind::kIntent && committed.count(r.a) == 0)
+      records.emplace_back(std::string(), r.data);
   raw_store.scan_prefix(
       journal_key_prefix(),
       [&](std::string_view key, const kv::Bytes& value) {
@@ -404,21 +405,21 @@ JournalReplayReport IntentJournal::replay(kv::KvStore& raw_store,
     } else {
       ++rep.rolled_back;
     }
-    // Crash window between applying a record and erasing it: the second
-    // replay re-scans this record and replay_one converges (idempotent).
-    fault::crash_point(fault, kCrashMidReplay);
-    raw.erase(key);
+    // Crash window between applying a record and retiring it: the second
+    // replay re-finds this record and replay_one converges (idempotent).
+    if (crash_points) fault::crash_point(fault_, kCrashMidReplay);
+    if (!key.empty()) raw.erase(key);
   }
   rep.cost = raw.cost;
 
-  if (registry != nullptr && rep.scanned > 0) {
-    // Recovery path — runs once per DPU restart, not per op.
+  if (rep.scanned > 0) {
+    // Recovery path — runs once per mount / DPU restart, not per op.
     // dpc-lint: ok(hot-path-lookup) recovery-only
-    registry->counter("kvfs.journal/replays").add(rep.rolled_forward);
+    registry_->counter("kvfs.journal/replays").add(rep.rolled_forward);
     // dpc-lint: ok(hot-path-lookup) recovery-only
-    registry->counter("kvfs.journal/rollbacks").add(rep.rolled_back);
+    registry_->counter("kvfs.journal/rollbacks").add(rep.rolled_back);
     // dpc-lint: ok(hot-path-lookup) recovery-only
-    registry->counter("kvfs.journal/corrupt").add(rep.corrupt);
+    registry_->counter("kvfs.journal/corrupt").add(rep.corrupt);
   }
   return rep;
 }

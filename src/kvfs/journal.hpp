@@ -1,24 +1,30 @@
-// KVFS write-ahead intent journal (crash consistency).
+// KVFS write-ahead intent log (crash consistency).
 //
 // KVFS spreads one mutation across several KV flavors with no multi-key
 // atomicity, so a DPU crash mid-operation leaves the keyspace torn (dangling
 // dentries, orphan data, a promotion half done). Before its first mutating
 // KV op, every multi-KV mutation appends one CRC32C-protected *intent*
 // record describing the whole op; after the last mutating op the record is
-// erased (committed). Replay-on-mount scans the surviving records, probes
-// the keyspace to see how far each op got, and rolls it forward (completes
-// it) or backward (undoes it) — either way the op ends all-or-nothing.
-// `fsck_repair` runs after replay as the backstop that renormalizes what
-// intent records cannot know (parent link counts, stray residue).
+// committed. Replay scans the surviving records, probes the keyspace to see
+// how far each op got, and rolls it forward (completes it) or backward
+// (undoes it) — either way the op ends all-or-nothing. `fsck_repair` runs
+// after replay as the backstop that renormalizes what intent records cannot
+// know (parent link counts, stray residue).
 //
-// Records live in the same disaggregated store under tag 'J' + be64 id, so
-// the journal is exactly as durable as the state it protects and shared
-// mounts recover each other. Record ids come from the ino counter: globally
-// unique, allocated with the same increment primitive as inodes.
+// One log, two media. With the NVM write-ahead log attached and healthy, a
+// record rides it as a kIntent frame and commits with a kIntentCommit
+// marker: one local persist instead of a remote KV round trip. Otherwise
+// (no NVM, or the WAL latched degraded) the record is a KV put under tag
+// 'J' + be64 id, and commit erases it; such records are exactly as durable
+// as the state they protect, and shared mounts recover each other. begin()
+// hands back a ticket naming the medium, and commit() follows it. One
+// replay() gathers the open records of both media and rolls them in one
+// loop. Record ids come from the ino counter: globally unique, allocated
+// with the same increment primitive as inodes.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +36,7 @@
 
 namespace dpc::nvm {
 class WriteAheadLog;
+struct WalRecord;
 }  // namespace dpc::nvm
 
 namespace dpc::kvfs {
@@ -39,8 +46,9 @@ namespace dpc::kvfs {
 inline constexpr std::string_view kCrashAfterAppend =
     "kvfs.journal/crash_after_append";
 /// Crash point inside replay: fires after a record has been rolled
-/// forward/backward but before its erase — the second replay must find the
-/// half-replayed log and converge (every replay_one path is idempotent).
+/// forward/backward but before it is retired (KV erase / WAL checkpoint) —
+/// the second replay must find the half-replayed log and converge (every
+/// replay_one path is idempotent).
 inline constexpr std::string_view kCrashMidReplay =
     "kvfs.journal/crash_mid_replay";
 
@@ -75,20 +83,21 @@ struct JournalRecord {
 };
 
 /// Record codec: [crc32c(4) | payload]. The CRC covers the payload, so a
-/// torn/corrupt record decodes to nullopt and replay skips (counts) it.
+/// torn/corrupt record fails to decode and replay skips (counts) it.
 kv::Bytes encode_journal_record(const JournalRecord& rec);
-std::optional<JournalRecord> decode_journal_record(const kv::Bytes& v);
 
-/// Rolls one decoded intent record forward or backward against the raw
-/// store (idempotent — the WAL replay loop calls this for every surviving
-/// uncommitted kIntent record riding the NVM spine). Returns true when the
-/// op was completed, false when undone; `cost` accrues the modelled remote
-/// round trips of every probe and fix.
-bool replay_intent_record(kv::KvStore& raw, const JournalRecord& rec,
-                          sim::Nanos& cost);
+/// Where begin() put an intent record; commit() follows it to the same
+/// medium. An empty ticket (id 0) names no record: commit() ignores it.
+struct IntentTicket {
+  std::uint64_t id = 0;
+  bool in_wal = false;  ///< kIntent frame in the NVM log, else a 'J' KV key
 
+  explicit operator bool() const { return id != 0; }
+};
+
+/// One replay pass over the open records of both media.
 struct JournalReplayReport {
-  std::uint64_t scanned = 0;         ///< records found on mount
+  std::uint64_t scanned = 0;         ///< open records found (WAL + KV)
   std::uint64_t rolled_forward = 0;  ///< ops completed by replay
   std::uint64_t rolled_back = 0;     ///< ops undone by replay
   std::uint64_t corrupt = 0;         ///< CRC-failed records dropped
@@ -98,42 +107,41 @@ struct JournalReplayReport {
 class IntentJournal {
  public:
   /// `registry` hosts the kvfs.journal/* counters (required). `fault`
-  /// (optional) enables the append-side crash point.
+  /// (optional) enables the append and replay crash points. `wal`
+  /// (optional) is the NVM log records ride while it is not degraded.
   IntentJournal(kv::RemoteKv& store, obs::Registry& registry,
-                fault::FaultInjector* fault);
+                fault::FaultInjector* fault, nvm::WriteAheadLog* wal);
 
-  /// Routes intent records through the NVM write-ahead log instead of
-  /// per-record KV puts: begin() appends kIntent, commit() appends
-  /// kIntentCommit — one durability spine with the data records. When the
-  /// WAL is degraded (ring full / NVM faulting) begin() falls back to the
-  /// KV path record-by-record, so write-ahead semantics never lapse.
-  void attach_wal(nvm::WriteAheadLog* wal) { wal_ = wal; }
+  /// Appends an intent record before the op's first mutation: to the WAL
+  /// when attached and not degraded, else (or when that append fails) to
+  /// the KV store, so write-ahead semantics never lapse. Returns an empty
+  /// ticket if no medium took it — the caller must abort the op (EIO)
+  /// without mutating anything.
+  IntentTicket begin(const JournalRecord& rec, sim::Nanos& cost);
 
-  /// Appends an intent record before the op's first mutation. Returns the
-  /// record id, or 0 if the append failed — the caller must abort the op
-  /// (EIO) without mutating anything, preserving write-ahead semantics.
-  std::uint64_t begin(const JournalRecord& rec, sim::Nanos& cost);
-
-  /// Erases the record after the op's last mutation. A failed erase is
+  /// Commits the record after the op's last mutation, on the medium the
+  /// ticket names (kIntentCommit marker or KV erase). A failed commit is
   /// harmless (the record survives; replay re-probes and finds the op
   /// complete) so commit never fails the op.
-  void commit(std::uint64_t record_id, sim::Nanos& cost);
+  void commit(const IntentTicket& ticket, sim::Nanos& cost);
 
-  /// Replays every surviving record against the raw store and erases it.
-  /// Runs on the recovery path (mount / DPU restart): bypasses fault
-  /// injection and retries — recovery is not itself injectable — but
-  /// charges modelled remote-KV round-trip costs for every probe and fix.
-  /// Callers must ensure no concurrent mutation. `fault` (optional) arms
-  /// only the kCrashMidReplay crash point — the probes and fixes themselves
-  /// stay non-injectable.
-  static JournalReplayReport replay(kv::KvStore& raw,
-                                    obs::Registry* registry = nullptr,
-                                    fault::FaultInjector* fault = nullptr);
+  /// Rolls every open record of both media against the raw store: the
+  /// kIntent frames of `wal_log` (a WriteAheadLog::recover() scan) with no
+  /// kIntentCommit, then every 'J' key. Rolled KV records are erased; WAL
+  /// ones stay until the caller checkpoints the log. Runs on the recovery
+  /// path (mount / DPU restart): bypasses fault injection and retries —
+  /// recovery is not itself injectable — but charges modelled remote-KV
+  /// round-trip costs for every probe and fix. Callers must ensure no
+  /// concurrent mutation. `crash_points` arms kCrashMidReplay (off at
+  /// mount, where a crash would escape the constructor).
+  JournalReplayReport replay(std::span<const nvm::WalRecord> wal_log,
+                             bool crash_points);
 
  private:
   kv::RemoteKv* store_;
+  obs::Registry* registry_;
   fault::FaultInjector* fault_;
-  nvm::WriteAheadLog* wal_ = nullptr;
+  nvm::WriteAheadLog* wal_;
   obs::Counter& appends_;
   obs::Counter& commits_;
   obs::Counter& append_fails_;

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -39,19 +38,15 @@ Kvfs::Kvfs(kv::RemoteKv& store, const KvfsOptions& opts,
                                           : nullptr),
       registry_(registry != nullptr ? registry : owned_registry_.get()),
       stats_(*registry_),
+      journal_(store, *registry_, opts_.fault, opts_.wal),
       cache_shards_(cache_shard_count()),
       cache_shard_mask_(cache_shards_.size() - 1) {
-  if (opts_.journal) {
-    journal_ = std::make_unique<IntentJournal>(store, *registry_,
-                                               opts_.fault);
-    if (opts_.wal != nullptr) journal_->attach_wal(opts_.wal);
-    // Mount-time replay: roll any interrupted mutation (ours from a prior
-    // incarnation, or a crashed peer's) forward or backward before serving.
-    // The NVM log is node-local and freshly constructed at mount, so only
-    // the KV-resident records (degraded-mode appends, crashed peers) exist
-    // here; recover() handles the WAL after a DPU restart.
-    mount_replay_ = IntentJournal::replay(store.store(), registry_);
-  }
+  // Mount-time replay: roll any interrupted mutation (ours from a prior
+  // incarnation, or a crashed peer's) forward or backward before serving.
+  // The NVM log is node-local and freshly constructed at mount, so only the
+  // KV-resident records (degraded-mode appends, crashed peers) exist here;
+  // recover() passes the WAL's records after a DPU restart.
+  mount_replay_ = journal_.replay({}, /*crash_points=*/false);
   // Install the root directory's attribute if this is a fresh store.
   sim::Nanos cost{};
   if (!load_attr(kRootIno, cost)) {
@@ -71,38 +66,35 @@ Kvfs::RecoveryReport Kvfs::recover() {
   // interrupted op cached but never durably completed) — drop them so every
   // post-recovery read refetches truth.
   drop_caches();
-  if (opts_.wal != nullptr) rep.wal = replay_wal();
-  if (journal_ != nullptr)
-    rep.journal =
-        IntentJournal::replay(store_->store(), registry_, opts_.fault);
+  // Every torn intent rolls first, whichever medium holds it; only then are
+  // the WAL's pages re-applied through write(), so page replay never runs
+  // on a half-done multi-KV op (a torn promotion or extent update).
+  nvm::WalRecovery log;
+  if (opts_.wal != nullptr) log = opts_.wal->recover();
+  rep.journal = journal_.replay(log.records, /*crash_points=*/true);
+  if (opts_.wal != nullptr) rep.wal = replay_wal(log);
   rep.fsck = fsck_repair(store_->store(), registry_);
   rep.cost = rep.wal.cost + rep.journal.cost + rep.fsck.cost;
   return rep;
 }
 
-Kvfs::WalReplayReport Kvfs::replay_wal() {
+Kvfs::WalReplayReport Kvfs::replay_wal(const nvm::WalRecovery& log) {
   WalReplayReport rep;
-  nvm::WriteAheadLog* wal = opts_.wal;
-  auto rec = wal->recover();
-  rep.cost += rec.cost;
-  rep.scanned = rec.report.scanned;
-  rep.corrupt = rec.report.corrupt;
-  rep.torn_tail = rec.report.torn_tail;
+  rep.cost += log.cost;
+  rep.scanned = log.report.scanned;
+  rep.corrupt = log.report.corrupt;
+  rep.torn_tail = log.report.torn_tail;
 
   // Pass 1: collect the markers. They sit later in the log than the
   // records they supersede (same mutex orders both), so one sweep finds
-  // every committed intent, the newest drain per page, and every shrink.
-  std::set<std::uint64_t> committed;
+  // the newest drain per page and every shrink.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> drained;
   struct Shrink {
     std::uint64_t seq, ino, size;
   };
   std::vector<Shrink> shrinks;
-  for (const auto& r : rec.records) {
+  for (const auto& r : log.records) {
     switch (r.kind) {
-      case nvm::RecordKind::kIntentCommit:
-        committed.insert(r.a);
-        break;
       case nvm::RecordKind::kDrained: {
         auto& newest = drained[{r.a, r.b}];
         newest = std::max(newest, r.seq);
@@ -119,7 +111,7 @@ Kvfs::WalReplayReport Kvfs::replay_wal() {
   // Pass 2: apply in seq order through the regular (journaled, idempotent)
   // KVFS paths. The crash point lets the chaos sweep kill the DPU with the
   // log half-applied; the second replay converges on the same end state.
-  for (const auto& r : rec.records) {
+  for (const auto& r : log.records) {
     fault::crash_point(opts_.fault, nvm::kCrashWalMidReplay);
     switch (r.kind) {
       case nvm::RecordKind::kData: {
@@ -167,25 +159,8 @@ Kvfs::WalReplayReport Kvfs::replay_wal() {
         }
         break;
       }
-      case nvm::RecordKind::kIntent: {
-        if (committed.count(r.a) != 0) {
-          ++rep.skipped;  // the op finished; nothing to roll
-          break;
-        }
-        const kv::Bytes payload(r.data.begin(), r.data.end());
-        const auto decoded = decode_journal_record(payload);
-        if (!decoded) {
-          ++rep.corrupt;
-          break;
-        }
-        sim::Nanos c{};
-        (void)replay_intent_record(store_->store(), *decoded, c);
-        rep.cost += c;
-        ++rep.applied;
-        break;
-      }
       default:
-        break;  // the markers themselves carry no state to apply
+        break;  // intents rolled before this pass; markers carry no state
     }
   }
 
@@ -193,7 +168,7 @@ Kvfs::WalReplayReport Kvfs::replay_wal() {
   // so the next crash replays nothing stale. (A crash before this line
   // replays the whole log again — idempotent by the above.)
   sim::Nanos ck{};
-  wal->mark_replayed(ck);
+  opts_.wal->mark_replayed(ck);
   rep.cost += ck;
 
   if (rep.scanned > 0 || rep.torn_tail) {
@@ -414,24 +389,19 @@ Result<Ino> Kvfs::make_node(Ino parent, std::string_view name, FileType type,
 
   // Write-ahead intent: if the record can't be made durable, abort before
   // anything mutates.
-  std::uint64_t rec_id = 0;
-  if (journal_ != nullptr) {
-    JournalRecord rec;
-    rec.op = JournalOp::kCreate;
-    rec.type = type;
-    rec.ino = ino;
-    rec.parent = parent;
-    rec.name = name;
-    rec.name2 = symlink_target;
-    rec_id = journal_->begin(rec, res.cost);
-    if (rec_id == 0) {
-      res.err = EIO;
-      return res;
-    }
+  JournalRecord rec;
+  rec.op = JournalOp::kCreate;
+  rec.type = type;
+  rec.ino = ino;
+  rec.parent = parent;
+  rec.name = name;
+  rec.name2 = symlink_target;
+  const IntentTicket ticket = journal_.begin(rec, res.cost);
+  if (!ticket) {
+    res.err = EIO;
+    return res;
   }
-  const auto commit = [&] {
-    if (journal_ != nullptr) journal_->commit(rec_id, res.cost);
-  };
+  const auto commit = [&] { journal_.commit(ticket, res.cost); };
 
   // put_if_absent on the inode KV is the existence check and the insert in
   // one atomic step.
@@ -641,21 +611,18 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
 
   // Write-ahead intent: nlink_before and big_file let replay finish a
   // half-done removal (decrement exactly once, or purge the right flavor).
-  std::uint64_t rec_id = 0;
-  if (journal_ != nullptr) {
-    JournalRecord rec;
-    rec.op = JournalOp::kRemove;
-    rec.type = attr->type;
-    rec.ino = *ino;
-    rec.parent = parent;
-    rec.name = name;
-    rec.nlink_before = attr->nlink;
-    rec.big_file = static_cast<std::uint8_t>(attr->big_file != 0);
-    rec_id = journal_->begin(rec, res.cost);
-    if (rec_id == 0) {
-      res.err = EIO;
-      return res;
-    }
+  JournalRecord rec;
+  rec.op = JournalOp::kRemove;
+  rec.type = attr->type;
+  rec.ino = *ino;
+  rec.parent = parent;
+  rec.name = name;
+  rec.nlink_before = attr->nlink;
+  rec.big_file = static_cast<std::uint8_t>(attr->big_file != 0);
+  const IntentTicket ticket = journal_.begin(rec, res.cost);
+  if (!ticket) {
+    res.err = EIO;
+    return res;
   }
 
   // Remove the namespace entry first so concurrent lookups fail fast. If
@@ -664,7 +631,7 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
   auto del = store_->erase(inode_key(parent, name));
   res.cost += del.cost;
   if (!del.ok()) {
-    if (journal_ != nullptr) journal_->commit(rec_id, res.cost);
+    journal_.commit(ticket, res.cost);
     res.err = EIO;
     return res;
   }
@@ -697,7 +664,7 @@ Result<Unit> Kvfs::remove_node(Ino parent, std::string_view name, bool dir) {
     if (dir && p.nlink > 2) --p.nlink;
     store_attr(p, res.cost);
   }
-  if (journal_ != nullptr) journal_->commit(rec_id, res.cost);
+  journal_.commit(ticket, res.cost);
   return res;
 }
 
@@ -757,25 +724,22 @@ Result<Unit> Kvfs::rename(Ino old_parent, std::string_view old_name,
   // destination purge may have started, completing the move is the only
   // consistent end state. On a mid-op transient failure below, the record
   // is deliberately left open so the next recovery finishes the move.
-  std::uint64_t rec_id = 0;
-  if (journal_ != nullptr) {
-    JournalRecord rec;
-    rec.op = JournalOp::kRename;
-    rec.type = src_attr->type;
-    rec.ino = *src;
-    rec.parent = old_parent;
-    rec.name = old_name;
-    rec.new_parent = new_parent;
-    rec.name2 = new_name;
-    if (dst_attr) {
-      rec.replaced_ino = dst_attr->ino;
-      rec.replaced_big = static_cast<std::uint8_t>(dst_attr->big_file != 0);
-    }
-    rec_id = journal_->begin(rec, res.cost);
-    if (rec_id == 0) {
-      res.err = EIO;
-      return res;
-    }
+  JournalRecord rec;
+  rec.op = JournalOp::kRename;
+  rec.type = src_attr->type;
+  rec.ino = *src;
+  rec.parent = old_parent;
+  rec.name = old_name;
+  rec.new_parent = new_parent;
+  rec.name2 = new_name;
+  if (dst_attr) {
+    rec.replaced_ino = dst_attr->ino;
+    rec.replaced_big = static_cast<std::uint8_t>(dst_attr->big_file != 0);
+  }
+  const IntentTicket ticket = journal_.begin(rec, res.cost);
+  if (!ticket) {
+    res.err = EIO;
+    return res;
   }
 
   if (dst_attr) {
@@ -812,7 +776,7 @@ Result<Unit> Kvfs::rename(Ino old_parent, std::string_view old_name,
       store_attr(p, res.cost);
     }
   }
-  if (journal_ != nullptr) journal_->commit(rec_id, res.cost);
+  journal_.commit(ticket, res.cost);
   return res;
 }
 
@@ -1043,10 +1007,10 @@ Result<std::uint32_t> Kvfs::read_impl(Ino ino, std::uint64_t offset,
 }
 
 bool Kvfs::promote_to_big(Attr& a, sim::Nanos& cost,
-                          std::uint64_t& journal_rec) {
+                          IntentTicket& journal_rec) {
   // §3.4: "When the file size grows bigger than 8KB, KVFS deletes the small
   // file KV and creates a big file KV."
-  journal_rec = 0;
+  journal_rec = {};
   kv::Bytes small;
   auto r = store_->get(small_key(a.ino));
   cost += r.cost;
@@ -1064,14 +1028,12 @@ bool Kvfs::promote_to_big(Attr& a, sim::Nanos& cost,
     if (block_id == 0) return false;
     obj.set_block(0, block_id);
   }
-  if (journal_ != nullptr) {
-    JournalRecord rec;
-    rec.op = JournalOp::kPromote;
-    rec.ino = a.ino;
-    if (block_id != 0) rec.blocks.push_back(block_id);
-    journal_rec = journal_->begin(rec, cost);
-    if (journal_rec == 0) return false;
-  }
+  JournalRecord rec;
+  rec.op = JournalOp::kPromote;
+  rec.ino = a.ino;
+  if (block_id != 0) rec.blocks.push_back(block_id);
+  journal_rec = journal_.begin(rec, cost);
+  if (!journal_rec) return false;
   // Failures from here on return with the record still open; the next
   // recovery rolls the half-promotion back (or forward past the object
   // put). The caller commits `journal_rec` only after storing the attr
@@ -1124,10 +1086,10 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
   const std::uint64_t new_size = std::max<std::uint64_t>(
       attr->size, offset + src.size());
 
-  // Open intent records for this op (0 = none); committed after the final
-  // attr store so replay can finish whatever tail a crash cuts off.
-  std::uint64_t promote_rec = 0;
-  std::uint64_t extent_rec = 0;
+  // Open intent records for this op (empty = none); committed after the
+  // final attr store so replay can finish whatever tail a crash cuts off.
+  IntentTicket promote_rec;
+  IntentTicket extent_rec;
 
   if (!attr->big_file && new_size <= kSmallFileMax) {
     // §3.4: "For small files … when updating the file data, we rewrite the
@@ -1185,13 +1147,13 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
       new_blocks.push_back(id);
     }
     const bool obj_changed = !new_blocks.empty();
-    if (journal_ != nullptr && obj_changed) {
+    if (obj_changed) {
       JournalRecord rec;
       rec.op = JournalOp::kExtent;
       rec.ino = ino;
       rec.blocks = new_blocks;
-      extent_rec = journal_->begin(rec, res.cost);
-      if (extent_rec == 0) {
+      extent_rec = journal_.begin(rec, res.cost);
+      if (!extent_rec) {
         res.err = EIO;
         return res;
       }
@@ -1247,15 +1209,21 @@ Result<std::uint32_t> Kvfs::write_impl(Ino ino, std::uint64_t offset,
   attr->size = new_size;
   attr->mtime = now();
   store_attr(*attr, res.cost);
-  if (journal_ != nullptr) {
-    if (extent_rec != 0) journal_->commit(extent_rec, res.cost);
-    if (promote_rec != 0) journal_->commit(promote_rec, res.cost);
-  }
+  journal_.commit(extent_rec, res.cost);
+  journal_.commit(promote_rec, res.cost);
   res.value = static_cast<std::uint32_t>(src.size());
   return res;
 }
 
 Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
+  return resize(ino, new_size, /*grow_only=*/false);
+}
+
+Result<Unit> Kvfs::grow(Ino ino, std::uint64_t new_size) {
+  return resize(ino, new_size, /*grow_only=*/true);
+}
+
+Result<Unit> Kvfs::resize(Ino ino, std::uint64_t new_size, bool grow_only) {
   Result<Unit> res;
   sim::LockGuard lock(inode_lock(ino));
   auto attr = load_attr(ino, res.cost);
@@ -1267,11 +1235,12 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
     res.err = EISDIR;
     return res;
   }
-  if (new_size == attr->size) return res;
+  if (new_size == attr->size || (grow_only && new_size < attr->size))
+    return res;
 
   // Truncate itself is not journaled (documented limitation — fsck repair
   // normalizes a torn shrink), but a growth-triggered promotion still is.
-  std::uint64_t promote_rec = 0;
+  IntentTicket promote_rec;
   if (!attr->big_file) {
     if (new_size > kSmallFileMax) {
       if (!promote_to_big(*attr, res.cost, promote_rec)) {
@@ -1345,8 +1314,7 @@ Result<Unit> Kvfs::truncate(Ino ino, std::uint64_t new_size) {
   attr->size = new_size;
   attr->mtime = now();
   store_attr(*attr, res.cost);
-  if (journal_ != nullptr && promote_rec != 0)
-    journal_->commit(promote_rec, res.cost);
+  journal_.commit(promote_rec, res.cost);
   if (opts_.wal != nullptr && new_size < old_size) {
     // Shrink marker in the durability spine: replay must not resurrect
     // logged pages this truncate cut off. A failed append is tolerated —

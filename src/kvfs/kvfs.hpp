@@ -42,6 +42,7 @@ class QosManager;
 
 namespace dpc::nvm {
 class WriteAheadLog;
+struct WalRecovery;
 }  // namespace dpc::nvm
 
 namespace dpc::kvfs {
@@ -63,20 +64,16 @@ struct KvfsOptions {
   bool enable_caches = true;  ///< dentry + inode(attr) caches
   std::size_t dentry_cache_entries = 8192;
   std::size_t attr_cache_entries = 8192;
-  /// Write-ahead intent journaling for multi-KV mutations (crash
-  /// consistency; see journal.hpp). On by default: every create/remove/
-  /// rename/promote/extent-update logs an intent record first, and mount
-  /// replays survivors. `truncate` and `link` are NOT journaled (documented
-  /// limitation) — fsck repair normalizes what they can tear.
-  bool journal = true;
   /// Crash-point injector for the DPU-side mutation paths (null = no crash
   /// points, zero overhead).
   fault::FaultInjector* fault = nullptr;
   /// NVM write-ahead log (nvm/wal.hpp): when set, intent records ride the
-  /// log instead of per-record KV puts, shrinking truncates append
-  /// superseding markers, and recover() replays the log (acked-but-undrained
-  /// pages + uncommitted intents) before the KV-side journal replay. Null =
-  /// pre-WAL behavior, bit-identical.
+  /// log while it is healthy instead of per-record KV puts, shrinking
+  /// truncates append superseding markers, and recover() replays the log
+  /// (uncommitted intents, then acked-but-undrained pages). Null = every
+  /// intent record is a KV put. Every create/remove/rename/promote/extent
+  /// update logs an intent record (journal.hpp); `truncate` and `link` do
+  /// not (documented limitation) — fsck repair normalizes what they tear.
   nvm::WriteAheadLog* wal = nullptr;
 };
 
@@ -145,6 +142,11 @@ class Kvfs {
                               std::span<const std::byte> src,
                               nvme::TenantId tenant = 0);
   Result<Unit> truncate(Ino ino, std::uint64_t new_size);
+  /// Grow-only size update: raises the size to `new_size` exactly as
+  /// truncate would, but is a no-op when the file is already at least that
+  /// large. The host's buffered appends publish their new end with it, so a
+  /// stale (smaller) update that lands late never cuts the file.
+  Result<Unit> grow(Ino ino, std::uint64_t new_size);
   Result<Unit> fsync(Ino ino);
 
   /// Filesystem-wide usage summary (scans the keyspace).
@@ -156,13 +158,13 @@ class Kvfs {
   Result<StatFs> statfs();
 
   // ------------------------------------------------------------- recovery
-  /// Outcome of replaying the NVM write-ahead log: the data pages and
-  /// intent records that were acked at NVM persistence but not yet drained
-  /// to the KV path when the crash hit.
+  /// Outcome of replaying the NVM write-ahead log's data pages: the ones
+  /// acked at NVM persistence but not yet drained to the KV path when the
+  /// crash hit. (Its intent records roll in the intent-log replay.)
   struct WalReplayReport {
     std::uint64_t scanned = 0;  ///< commit-verified records in the log
-    std::uint64_t applied = 0;  ///< pages re-written / intents rolled
-    std::uint64_t skipped = 0;  ///< superseded (drained/committed/truncated)
+    std::uint64_t applied = 0;  ///< pages re-written
+    std::uint64_t skipped = 0;  ///< superseded pages (drained/truncated/dead)
     std::uint64_t corrupt = 0;  ///< frames dropped by CRC (rot in log)
     bool torn_tail = false;     ///< log ended in an unacked torn append
     sim::Nanos cost{};
@@ -170,25 +172,25 @@ class Kvfs {
 
   /// Outcome of a full recovery pass (DPU restart / explicit fsck-repair).
   struct RecoveryReport {
-    WalReplayReport wal;          ///< NVM log replay (when opts.wal set)
-    JournalReplayReport journal;  ///< intent-log replay
+    WalReplayReport wal;          ///< NVM page replay (when opts.wal set)
+    JournalReplayReport journal;  ///< intent-log replay, both media
     FsckRepairReport fsck;        ///< backstop repair pass
     sim::Nanos cost{};
 
     bool clean() const { return fsck.clean; }
   };
 
-  /// Full recovery: drops volatile caches, replays the NVM write-ahead log
-  /// (acked fsync data + intents riding the spine), then the KV-side intent
-  /// journal (degraded-mode and peer records), then runs repairing fsck as
-  /// the backstop. Call with no concurrent mutating traffic — the DPU
-  /// restart path quiesces the queues first. Idempotent: a crash during
-  /// replay (kCrashWalMidReplay / kCrashMidReplay) leaves a state a second
+  /// Full recovery: drops volatile caches, rolls every open intent record
+  /// (WAL-resident and KV-resident alike) in one replay, then re-applies
+  /// the WAL's acked-but-undrained pages, then runs repairing fsck as the
+  /// backstop. Call with no concurrent mutating traffic — the DPU restart
+  /// path quiesces the queues first. Idempotent: a crash during replay
+  /// (kCrashMidReplay / kCrashWalMidReplay) leaves a state a second
   /// recover() converges from.
   RecoveryReport recover();
 
-  /// What mount-time journal replay found (every ctor replays when
-  /// journaling is enabled — a crashed peer's records roll on our mount).
+  /// What mount-time intent replay found (every ctor replays — a crashed
+  /// peer's KV-resident records roll on our mount).
   const JournalReplayReport& mount_replay() const { return mount_replay_; }
 
   const KvfsStats& stats() const { return stats_; }
@@ -221,15 +223,18 @@ class Kvfs {
   Result<Unit> remove_node(Ino parent, std::string_view name, bool dir);
   /// Deletes all data KVs of a regular file.
   void purge_data(const Attr& a, sim::Nanos& cost);
-  /// Replays the NVM write-ahead log (recover() step 1; opts_.wal != null).
-  WalReplayReport replay_wal();
+  /// Re-applies the acked-but-undrained pages of a WAL scan, then
+  /// checkpoints the log (recover()'s step after intent replay).
+  WalReplayReport replay_wal(const nvm::WalRecovery& log);
+  /// truncate() and grow(): `grow_only` makes a smaller size a no-op.
+  Result<Unit> resize(Ino ino, std::uint64_t new_size, bool grow_only);
   /// Moves a small file's bytes into a big-file object (§3.4 promotion).
   /// Returns false if a transient KV failure aborted the promotion before
   /// the big object existed (the small KV is still authoritative). On
-  /// success `journal_rec` holds the open kPromote record id (0 when
-  /// journaling is off); the caller commits it after storing the attr with
-  /// big_file set, so replay can finish the flag flip.
-  bool promote_to_big(Attr& a, sim::Nanos& cost, std::uint64_t& journal_rec);
+  /// success `journal_rec` holds the open kPromote record; the caller
+  /// commits it after storing the attr with big_file set, so replay can
+  /// finish the flag flip.
+  bool promote_to_big(Attr& a, sim::Nanos& cost, IntentTicket& journal_rec);
   bool dir_empty(Ino dir, sim::Nanos& cost);
 
   // ---- caches ----
@@ -251,7 +256,7 @@ class Kvfs {
   obs::Registry* registry_;                        // whichever is active
   KvfsStats stats_;
   dpu::QosManager* qos_ = nullptr;  ///< per-tenant byte attribution
-  std::unique_ptr<IntentJournal> journal_;  // null when opts_.journal off
+  IntentJournal journal_;
   JournalReplayReport mount_replay_;
 
   std::atomic<std::uint64_t> logical_time_{1};

@@ -173,11 +173,6 @@ bool WriteAheadLog::has_pending(std::uint64_t ino, std::uint64_t lpn) const {
   return pending_.find({ino, lpn}) != pending_.end();
 }
 
-bool WriteAheadLog::intent_open(std::uint64_t id) const {
-  sim::LockGuard lock(mu_);
-  return open_intents_.find(id) != open_intents_.end();
-}
-
 std::size_t WriteAheadLog::pending_pages() const {
   sim::LockGuard lock(mu_);
   return pending_.size();

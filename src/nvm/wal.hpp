@@ -6,9 +6,9 @@
 // acks as soon as the log is persistent; the cache flusher — a background-
 // QoS WorkerPool poller — drains the pages to the SSD/KV path afterwards
 // and appends drain markers that supersede the logged copies. The KVFS
-// intent journal's records ride the same log (kIntent/kIntentCommit), so
-// replay-on-mount reads ONE spine instead of two mechanisms that must both
-// be right.
+// intent log's records ride the same log (kIntent/kIntentCommit) while it
+// is healthy; KVFS's one intent replay reads them from the scan that
+// recover() returns (kvfs/journal.hpp).
 //
 // Frame format (all little-endian, `len` = payload bytes):
 //
@@ -177,9 +177,6 @@ class WriteAheadLog {
   /// NVM faulting). Mirrors the "wal/degraded" gauge.
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
   bool has_pending(std::uint64_t ino, std::uint64_t lpn) const;
-  /// True while intent `id` was logged here and its commit marker has not
-  /// landed yet (the journal commits through the WAL iff this holds).
-  bool intent_open(std::uint64_t id) const;
   std::size_t pending_pages() const;
   std::size_t open_intents() const;
   std::uint64_t live_bytes() const;

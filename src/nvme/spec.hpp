@@ -139,6 +139,7 @@ enum class InlineOp : std::uint8_t {
   kWrite = 2,
   kFsync = 3,
   kTruncate = 4,  ///< inline offset = new size
+  kGrow = 5,      ///< inline offset = new size; never shrinks the file
 };
 
 /// Decoded view of the nvme-fs vendor command.

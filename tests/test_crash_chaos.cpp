@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <map>
 #include <string>
@@ -490,6 +491,9 @@ TEST_P(CrashChaosWalSite, RecoversConsistentlyPumpMode) {
   fault::FaultInjector fi(chaos_seed() ^ 0xa1, &fault_reg);
   DpcSystem sys(wal_chaos_opts(&fi));
   State st{sys, fi, {}, 0, false, 0, 0, {}};
+  // The torn op's intent is WAL-resident here; the one intent replay must
+  // still find it.
+  st.expect_journal_record = site.rfind("kvfs.", 0) == 0;
 
   fi.arm_crash(site, /*skip=*/0);
   run_crash_workload(st, chaos_seed() ^ std::hash<std::string_view>{}(site));
@@ -500,6 +504,9 @@ TEST_P(CrashChaosWalSite, RecoversConsistentlyPumpMode) {
   EXPECT_GE(sys.metrics().counter("wal/appends").value(), 1u);
   EXPECT_GE(sys.metrics().counter("wal/recoveries").value(),
             static_cast<std::uint64_t>(st.restarts));
+  if (st.expect_journal_record) {
+    EXPECT_GE(sys.metrics().counter("kvfs.journal/wal_appends").value(), 1u);
+  }
   EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
 }
 
@@ -568,6 +575,81 @@ TEST(CrashChaosWal, CrashDuringJournalReplayConverges) {
   // The op converges post-recovery and the keyspace is whole.
   const auto m = sys.mkdir(kvfs::kRootIno, "j");
   EXPECT_TRUE(m.ok() || m.err == EEXIST);
+  EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
+}
+
+/// One intent log over two media: a write that promotes a small file logs
+/// its kPromote intent in the WAL, the ring then has no room for its
+/// kExtent intent (the WAL latches degraded and the record spills to a KV
+/// 'J' key), and the DPU dies with both open. One restart rolls both, each
+/// counted once.
+TEST(CrashChaosWal, MixedMediumIntentsRollInOneReplay) {
+  obs::Registry fault_reg;
+  fault::FaultInjector fi(chaos_seed() ^ 0x3ed, &fault_reg);
+  auto opts = wal_chaos_opts(&fi);
+  opts.nvm_log_bytes = 64 * 1024;
+  DpcSystem sys(opts);
+  nvm::WriteAheadLog& wal = *sys.wal();
+
+  const auto ino = sys.create(kvfs::kRootIno, "mixed").ino;
+  ASSERT_NE(ino, 0u);
+  const auto small = bytes(4096, chaos_seed() ^ 0x3ed);
+  ASSERT_TRUE(sys.write(ino, 0, small, /*direct=*/true).ok());
+
+  // Pad the ring (a page record of an ino that never existed; replay skips
+  // it) so that exactly the promote's intent frame still fits.
+  const auto frame = [](std::uint64_t payload) {
+    return nvm::WriteAheadLog::kFrameHeaderBytes + payload +
+           nvm::WriteAheadLog::kCommitBytes;
+  };
+  kvfs::JournalRecord promote;
+  promote.op = kvfs::JournalOp::kPromote;
+  promote.ino = ino;
+  promote.blocks = {1};
+  const std::uint64_t promote_frame =
+      frame(8 + kvfs::encode_journal_record(promote).size());
+  const auto room = [&] {
+    return wal.device().size() - nvm::WriteAheadLog::kReserveBytes -
+           nvm::WriteAheadLog::kDataStart - wal.live_bytes();
+  };
+  const std::vector<std::byte> pad(room() - promote_frame - frame(16));
+  sim::Nanos c{};
+  ASSERT_EQ(wal.append_data(9'000'000, 0, pad, c), nvm::AppendStatus::kOk);
+  ASSERT_EQ(room(), promote_frame);
+
+  // Promote (WAL) → extent (KV) → crash before the object put.
+  const auto big = bytes(64 * 1024, 7);
+  fi.arm_crash("kvfs.write/crash_after_blocks", /*skip=*/0);
+  (void)sys.write(ino, 0, big, /*direct=*/true);
+  ASSERT_TRUE(fi.crashed());
+  EXPECT_TRUE(wal.degraded());
+  EXPECT_EQ(wal.open_intents(), 1u);
+  int kv_records = 0;
+  sys.kv_store().scan_prefix(kvfs::journal_key_prefix(),
+                             [&](std::string_view, const kv::Bytes&) {
+                               ++kv_records;
+                               return true;
+                             });
+  EXPECT_EQ(kv_records, 1);
+
+  const auto rep = sys.restart_dpu();
+  EXPECT_TRUE(rep.clean());
+  EXPECT_EQ(rep.fs.journal.scanned, 2u);
+  EXPECT_EQ(rep.fs.journal.rolled_forward, 1u);  // promotion completed
+  EXPECT_EQ(rep.fs.journal.rolled_back, 1u);     // extent blocks reclaimed
+  EXPECT_EQ(rep.fs.journal.corrupt, 0u);
+  EXPECT_EQ(wal.open_intents(), 0u);
+  EXPECT_FALSE(wal.degraded());
+
+  // The unacked write never grew the file. Its bytes may have landed in the
+  // promoted block in place (block-atomic, the POSIX carve-out), so the
+  // surviving page holds either the acked bytes or the in-flight ones.
+  kvfs::Attr attr;
+  ASSERT_TRUE(sys.getattr(ino, &attr).ok());
+  EXPECT_EQ(attr.size, small.size());
+  std::vector<std::byte> out(small.size());
+  ASSERT_TRUE(sys.read(ino, 0, out, /*direct=*/true).ok());
+  EXPECT_TRUE(out == small || std::equal(out.begin(), out.end(), big.begin()));
   EXPECT_TRUE(kvfs::fsck(sys.kv_store()).clean());
 }
 

@@ -446,6 +446,78 @@ TEST(DpcSystem, TruncateRacingReadMissLeavesNoStaleCachedPage) {
                          "host cache";
 }
 
+TEST(DpcSystem, ConcurrentBufferedAppendersKeepEveryPage) {
+  // Several threads append disjoint pages to one file through the host
+  // cache. Each absorbed write publishes its new end with a size update; a
+  // thread whose update carries a smaller end than another's may send it
+  // last. That stale update must neither drop the other writer's dirty
+  // pages on the host nor cut the file on the DPU.
+  DpcOptions o = small_opts();
+  o.with_dfs = false;
+  o.queues = 4;
+  o.cache_geo = {4096, cache::CacheMode::kWrite, 4096, 256};
+  // Page loss is under test, not the NVMe deadline, which a sanitizer's
+  // slowdown can make fire.
+  o.nvme_timeout_ms = 10000;
+  DpcSystem sys(o);
+  sys.start_dpu();
+  constexpr std::uint64_t kPage = 4096;
+  constexpr int kThreads = 8;
+  constexpr int kFiles = 24;
+  constexpr int kPages = 32;  // per file; thread t owns pages t, t+8, ...
+  const auto page_of = [](int file, int p) {
+    return bytes(kPage, static_cast<std::uint64_t>(file) * 1000 + p);
+  };
+  std::vector<std::uint64_t> inos;
+  for (int f = 0; f < kFiles; ++f) {
+    const auto c = sys.create(kvfs::kRootIno, "append" + std::to_string(f));
+    ASSERT_TRUE(c.ok());
+    inos.push_back(c.ino);
+  }
+
+  // A barrier per file keeps every thread appending to the same file at
+  // once, in lockstep page rounds.
+  std::barrier round(kThreads);
+  std::atomic<int> errors{0};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (int f = 0; f < kFiles; ++f) {
+        for (int p = t; p < kPages; p += kThreads) {
+          const auto data = page_of(f, p);
+          round.arrive_and_wait();
+          if (!sys.write(inos[static_cast<std::size_t>(f)],
+                         static_cast<std::uint64_t>(p) * kPage, data, false)
+                   .ok())
+            ++errors;
+        }
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  ASSERT_EQ(errors.load(), 0);
+
+  int short_files = 0;
+  int lost_pages = 0;
+  std::vector<std::byte> got(kPage);
+  for (int f = 0; f < kFiles; ++f) {
+    const std::uint64_t ino = inos[static_cast<std::size_t>(f)];
+    ASSERT_TRUE(sys.fsync(ino).ok());
+    kvfs::Attr attr;
+    ASSERT_TRUE(sys.getattr(ino, &attr).ok());
+    if (attr.size != kPages * kPage) ++short_files;
+    for (int p = 0; p < kPages; ++p) {
+      ASSERT_TRUE(
+          sys.read(ino, static_cast<std::uint64_t>(p) * kPage, got, true)
+              .ok());
+      if (got != page_of(f, p)) ++lost_pages;
+    }
+  }
+  sys.stop_dpu();
+  EXPECT_EQ(short_files, 0) << "a stale size update cut appended files";
+  EXPECT_EQ(lost_pages, 0) << "acked appended pages did not read back";
+}
+
 TEST(DpcSystem, DfsPathThroughDispatchBit) {
   DpcSystem sys(small_opts());
   const auto c = sys.dfs_create("/dfs/file", 1 << 20);

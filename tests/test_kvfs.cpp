@@ -251,6 +251,25 @@ TEST_F(KvfsFixture, SmallTruncatePromotes) {
   EXPECT_EQ(fs.getattr(ino).value.size, 100u * 1024);
 }
 
+TEST_F(KvfsFixture, GrowNeverShrinks) {
+  const auto ino = fs.create(kRootIno, "g", 0644).value;
+  const auto data = bytes(3 * kBigBlock, 14);
+  ASSERT_TRUE(fs.write(ino, 0, data).ok());
+  // A stale, smaller size update is a no-op: size and bytes stay.
+  ASSERT_TRUE(fs.grow(ino, kBigBlock).ok());
+  EXPECT_EQ(fs.getattr(ino).value.size, 3 * kBigBlock);
+  std::vector<std::byte> out(data.size());
+  ASSERT_TRUE(fs.read(ino, 0, out).ok());
+  EXPECT_EQ(out, data);
+  // A larger one grows the file like truncate: the new range is a hole.
+  ASSERT_TRUE(fs.grow(ino, 4 * kBigBlock).ok());
+  EXPECT_EQ(fs.getattr(ino).value.size, 4 * kBigBlock);
+  std::vector<std::byte> tail(kBigBlock);
+  ASSERT_TRUE(fs.read(ino, 3 * kBigBlock, tail).ok());
+  for (auto byte : tail) ASSERT_EQ(byte, std::byte{0});
+  EXPECT_EQ(fs.grow(kRootIno, 1).err, EISDIR);
+}
+
 TEST_F(KvfsFixture, ChmodChown) {
   const auto ino = fs.create(kRootIno, "perm", 0644).value;
   ASSERT_TRUE(fs.chmod(ino, 0600).ok());

@@ -47,9 +47,9 @@ TEST(NvmWalUnit, AppendRecoverRoundtrip) {
   ASSERT_EQ(wal.append_data(7, 3, p0, c), AppendStatus::kOk);
   ASSERT_EQ(wal.append_data(9, 0, p1, c), AppendStatus::kOk);
   ASSERT_EQ(wal.append_intent(11, intent, c), AppendStatus::kOk);
-  EXPECT_TRUE(wal.intent_open(11));
+  EXPECT_EQ(wal.open_intents(), 1u);
   ASSERT_EQ(wal.append_intent_commit(11, c), AppendStatus::kOk);
-  EXPECT_FALSE(wal.intent_open(11));
+  EXPECT_EQ(wal.open_intents(), 0u);
   ASSERT_EQ(wal.append_truncate(7, 0, c), AppendStatus::kOk);
   // The truncate marker supersedes ino 7's logged page; ino 9's survives.
   EXPECT_FALSE(wal.has_pending(7, 3));
@@ -74,7 +74,7 @@ TEST(NvmWalUnit, AppendRecoverRoundtrip) {
     EXPECT_EQ(rec.records[i].seq, i + 1);
   EXPECT_TRUE(wal2.has_pending(9, 0));
   EXPECT_FALSE(wal2.has_pending(7, 3));
-  EXPECT_FALSE(wal2.intent_open(11));
+  EXPECT_EQ(wal2.open_intents(), 0u);
 
   // recover() is idempotent: a second scan returns the same records.
   auto rec2 = wal2.recover();

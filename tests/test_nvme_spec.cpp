@@ -146,7 +146,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(DispatchTarget::kStandalone,
                           DispatchTarget::kDistributed),
         ::testing::Values(InlineOp::kNone, InlineOp::kRead, InlineOp::kWrite,
-                          InlineOp::kFsync, InlineOp::kTruncate),
+                          InlineOp::kFsync, InlineOp::kTruncate,
+                          InlineOp::kGrow),
         ::testing::Values(0ULL, 1ULL, 0xFFFFFFFFULL, 0x123456789ABCDEFULL),
         ::testing::Values(0ULL, 4096ULL, 0xFFFFFFFF0000ULL)));
 
