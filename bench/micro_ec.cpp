@@ -107,8 +107,10 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(64 * 1024)
+// 8 KiB: one DS shard or KVFS block; 1 MiB: one DFS op's payload.
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(8 * 1024)->Arg(64 * 1024)
     DPC_BENCH_PIN(dpc::bench::kItersMid);
+BENCHMARK(BM_Crc32c)->Arg(1024 * 1024) DPC_BENCH_PIN(dpc::bench::kItersSlow);
 
 // The bit-at-a-time reference next to the slice-by-8 production path: the
 // ratio is the payoff of the table kernel, and a regression here means the

@@ -27,7 +27,11 @@
 #            out-of-bounds and use-after-free the other legs cannot, e.g.
 #            in the unaligned 32-byte loads and scalar tails of the vector
 #            GF(2^8) kernels.
-#   chaos  — fault-injection tests swept over several seeds (plain + tsan).
+#   chaos  — fault-injection tests swept over several seeds (plain + tsan),
+#            including ChaosIntegration.LateCompletionsNeverServeStaleBytes-
+#            WorkerMode: a 1 ms NVMe deadline under DPU workers, so aborted
+#            commands complete late on reused queue slots (the CID
+#            generation fence); its TSan leg is the race check on that path.
 #   crash  — crash-point chaos over a wider seed set (plain + tsan), plus
 #            the crash-restart recovery bench (BENCH_crash_recovery.json).
 #   scrub  — data-corruption sweep: the integrity-envelope chaos tests and

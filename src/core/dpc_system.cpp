@@ -87,6 +87,8 @@ DpcSystem::DpcSystem(const DpcOptions& opts)
       nvme_throttled_(&registry_.counter("retry/throttled")),
       host_integrity_errors_(
           &registry_.counter("nvme.host/integrity_errors")),
+      payload_copy_bytes_(
+          &registry_.counter("nvme.host/payload_copy_bytes")),
       pump_conflicts_(&registry_.counter("core/pump_conflicts")) {
   DPC_CHECK(opts.queues >= 1 && opts.queue_depth >= 2);
 
@@ -352,7 +354,8 @@ int DpcSystem::pump(int q) {
 }
 
 DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
-                                      std::uint32_t read_copy_bytes) {
+                                      std::uint32_t read_copy_bytes,
+                                      std::span<std::byte> read_dst) {
   const int q = queue_for_this_thread();
   nvme::IniDriver& ini = *inis_[static_cast<std::size_t>(q)];
 
@@ -363,6 +366,7 @@ DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
   for (int attempt = 1;; ++attempt) {
     const auto submitted = ini.submit(req);
     out.cost += submitted.cost;
+    payload_copy_bytes_->add(req.write_hdr.size() + req.write_data.size());
 
     // Synchronous completion: poll with a deadline; pump the DPU inline
     // when no workers run.
@@ -390,10 +394,10 @@ DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
     }
 
     // Timed out / lost: reclaim the CID. abort() returns a completion that
-    // raced in, else synthesizes kAbortedByRequest; any CQE landing after
-    // that is discarded by the driver's late-CQE guard, so releasing the
-    // CID below cannot mis-deliver a stale completion (the sim TGT either
-    // posts promptly or drops permanently).
+    // raced in, else synthesizes kAbortedByRequest and moves the slot to a
+    // new CID generation: the TGT skips the abandoned command if it has not
+    // reached it, keeps its reply out of the slot if it has, and a late CQE
+    // is discarded — so the slot can serve the retry at once.
     const nvme::Completion done = got ? *got : ini.abort(submitted.cid);
     if (!got) out.cost += sim::calib::kNvmeCommandTimeout;
 
@@ -440,9 +444,14 @@ DpcSystem::CallResult DpcSystem::call(const nvme::IniDriver::Request& req,
           host_integrity_errors_->add();
           out.status = nvme::Status::kDataIntegrityError;
           out.result = 0;
+        } else if (!read_dst.empty()) {
+          // Data reads: verified bytes go straight into the caller's span.
+          std::memcpy(read_dst.data(), wire.data(), n);
+          payload_copy_bytes_->add(n);
         } else {
           out.read_payload.assign(wire.begin(),
                                   wire.begin() + std::ptrdiff_t{n});
+          payload_copy_bytes_->add(n);
         }
       }
     }
@@ -743,7 +752,7 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
   r.inode = ino;
   r.offset = offset;
   r.read_data_cap = static_cast<std::uint32_t>(dst.size());
-  const auto res = call(r, r.read_data_cap);
+  const auto res = call(r, r.read_data_cap, dst);
   io.cost += res.cost;
   if (res.status == nvme::Status::kFsError) {
     io.err = static_cast<int>(res.result);
@@ -754,12 +763,6 @@ Io DpcSystem::read(std::uint64_t ino, std::uint64_t offset,
     return io;
   }
   io.bytes = res.result;
-  // A read at/past EOF completes with an empty payload whose data() is
-  // null; memcpy's nonnull contract forbids that even at length zero.
-  if (const std::size_t got =
-          std::min<std::size_t>(dst.size(), res.read_payload.size());
-      got > 0)
-    std::memcpy(dst.data(), res.read_payload.data(), got);
   if (io.bytes < dst.size())
     std::memset(dst.data() + io.bytes, 0, dst.size() - io.bytes);
 
@@ -980,7 +983,7 @@ Io DpcSystem::dfs_read(std::uint64_t ino, std::uint64_t offset,
   r.inode = ino;
   r.offset = offset;
   r.read_data_cap = static_cast<std::uint32_t>(dst.size());
-  const auto res = call(r, r.read_data_cap);
+  const auto res = call(r, r.read_data_cap, dst);
   Io io;
   io.ino = ino;
   io.cost = res.cost;
@@ -993,12 +996,6 @@ Io DpcSystem::dfs_read(std::uint64_t ino, std::uint64_t offset,
     return io;
   }
   io.bytes = res.result;
-  // A read at/past EOF completes with an empty payload whose data() is
-  // null; memcpy's nonnull contract forbids that even at length zero.
-  if (const std::size_t got =
-          std::min<std::size_t>(dst.size(), res.read_payload.size());
-      got > 0)
-    std::memcpy(dst.data(), res.read_payload.data(), got);
   return io;
 }
 

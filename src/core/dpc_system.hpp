@@ -257,7 +257,10 @@ class DpcSystem {
   std::string latency_summary() const;
 
  private:
-  // One synchronous nvme-fs round trip on this thread's queue.
+  // One synchronous nvme-fs round trip on this thread's queue. Up to
+  // `read_copy_bytes` of a verified reply are copied out of the queue slot:
+  // into `read_dst` when it is given (data reads), else into `read_payload`
+  // (header replies).
   struct CallResult {
     nvme::Status status = nvme::Status::kSuccess;
     std::uint32_t result = 0;
@@ -265,7 +268,8 @@ class DpcSystem {
     sim::Nanos cost{};
   };
   CallResult call(const nvme::IniDriver::Request& req,
-                  std::uint32_t read_copy_bytes);
+                  std::uint32_t read_copy_bytes,
+                  std::span<std::byte> read_dst = {});
   int queue_for_this_thread();
   int pump(int q);  // inline DPU processing; returns TGT commands processed
 
@@ -353,6 +357,8 @@ class DpcSystem {
   /// rejections honored with the device's retry-after hint).
   obs::Counter* nvme_throttled_;
   obs::Counter* host_integrity_errors_;
+  /// Bytes the host copies between a caller's span and a queue slot.
+  obs::Counter* payload_copy_bytes_;
   /// Witness for the restart pump-freeze's mutual-exclusion contract: set
   /// while restart_dpu() is inside the power cycle (where it holds — or,
   /// under DPC_CHECK_MUTATE restart-no-freeze, should hold — every pump

@@ -691,7 +691,7 @@ bool striped_read(DataServers& ds, const FileMeta& meta, std::uint64_t offset,
   const std::uint32_t unit = meta.stripe_unit;
   const std::uint64_t stripe_bytes = std::uint64_t{unit} * meta.k;
   std::size_t done = 0;
-  std::vector<std::byte> shard(unit);
+  std::vector<std::byte> shard;  // bounce buffer for partial units only
   while (done < dst.size()) {
     const std::uint64_t pos = offset + done;
     const std::uint64_t stripe = pos / stripe_bytes;
@@ -700,10 +700,16 @@ bool striped_read(DataServers& ds, const FileMeta& meta, std::uint64_t offset,
     const auto in_shard = static_cast<std::uint32_t>(in_stripe % unit);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(dst.size() - done, unit - in_shard));
+    // A whole, aligned unit lands straight in dst (the shard CRC is still
+    // verified first, inside read_shard); a partial one bounces.
+    const bool whole = chunk == unit;
+    if (!whole) shard.resize(unit);
     bool rfail = false;
-    ds.read_shard(meta.ino, stripe, d, shard, prof, &rfail);
+    ds.read_shard(meta.ino, stripe, d,
+                  whole ? dst.subspan(done, unit) : std::span{shard}, prof,
+                  &rfail);
     if (rfail) return false;  // outage — caller falls back to degraded read
-    std::memcpy(dst.data() + done, shard.data() + in_shard, chunk);
+    if (!whole) std::memcpy(dst.data() + done, shard.data() + in_shard, chunk);
     done += chunk;
   }
   return true;

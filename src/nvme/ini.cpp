@@ -9,7 +9,11 @@ namespace dpc::nvme {
 
 IniDriver::IniDriver(pcie::DmaEngine& dma, const QueuePair& qp,
                      obs::QueueTraces* traces)
-    : dma_(&dma), qp_(&qp), traces_(traces), done_(qp.depth()) {
+    : dma_(&dma),
+      qp_(&qp),
+      traces_(traces),
+      done_(qp.depth()),
+      gen_(qp.depth(), 0) {
   free_cids_.reserve(qp.depth());
   // NVMe convention: at most depth-1 entries may be in flight so that
   // head == tail unambiguously means "empty".
@@ -30,9 +34,18 @@ IniDriver::IniDriver(pcie::DmaEngine& dma, const QueuePair& qp,
 
 std::uint16_t IniDriver::alloc_cid_locked() {
   DPC_CHECK(!free_cids_.empty());
-  const std::uint16_t cid = free_cids_.back();
+  const std::uint16_t slot = free_cids_.back();
   free_cids_.pop_back();
-  return cid;
+  return make_cid(slot, gen_[slot]);
+}
+
+void IniDriver::fence_slot_locked(std::uint16_t slot) {
+  gen_[slot] = static_cast<std::uint8_t>((gen_[slot] + 1) & kCidGenMask);
+  // One posted MMIO, on the abort path only: the TGT compares each
+  // command's generation against this word before it touches the slot.
+  // Nothing to publish before it — the word itself is the publication.
+  // dpc-lint: ok(doorbell-fence) the fence word is the published state
+  dma_->doorbell(qp_->slot_gen_off(slot), gen_[slot]);
 }
 
 void IniDriver::build_prp(std::uint64_t buf_off, std::uint32_t len,
@@ -61,7 +74,8 @@ std::uint16_t IniDriver::enqueue_locked(const Request& req,
   DPC_CHECK(req.write_hdr.size() <= 0xFFFF);
 
   const std::uint16_t cid = alloc_cid_locked();
-  if (traces_ != nullptr) traces_->stamp(cid, obs::Stage::kHostSubmit);
+  const std::uint16_t slot = cid_slot(cid);
+  if (traces_ != nullptr) traces_->stamp(slot, obs::Stage::kHostSubmit);
   if (submits_ != nullptr) submits_->add();
 
   NvmeFsCmd cmd;
@@ -78,7 +92,7 @@ std::uint16_t IniDriver::enqueue_locked(const Request& req,
 
   auto& host = dma_->host();
   if (wlen > 0) {
-    const std::uint64_t wbuf = qp_->write_buf_off(cid);
+    const std::uint64_t wbuf = qp_->write_buf_off(slot);
     if (!req.write_hdr.empty()) host.write(wbuf, req.write_hdr);
     if (!req.write_data.empty())
       host.write(wbuf + req.write_hdr.size(), req.write_data);
@@ -88,13 +102,13 @@ std::uint16_t IniDriver::enqueue_locked(const Request& req,
     const std::uint32_t crc =
         ec::crc32c(req.write_data, ec::crc32c(req.write_hdr));
     host.store<std::uint32_t>(wbuf + wlen, crc);
-    build_prp(wbuf, wlen + kPayloadCrcBytes, qp_->write_prp_list_off(cid),
+    build_prp(wbuf, wlen + kPayloadCrcBytes, qp_->write_prp_list_off(slot),
               cmd.prp_write1, cmd.prp_write2);
   }
   if (rlen > 0) {
     // +kPayloadCrcBytes: the TGT appends the read-payload trailer.
-    build_prp(qp_->read_buf_off(cid), rlen + kPayloadCrcBytes,
-              qp_->read_prp_list_off(cid), cmd.prp_read1, cmd.prp_read2);
+    build_prp(qp_->read_buf_off(slot), rlen + kPayloadCrcBytes,
+              qp_->read_prp_list_off(slot), cmd.prp_read1, cmd.prp_read2);
   }
 
   // Produce the SQE at the SQ tail (host-local store, no PCIe traffic).
@@ -192,20 +206,21 @@ std::optional<Completion> IniDriver::drain_locked() {
     cq_head_ = static_cast<std::uint16_t>((cq_head_ + 1) % qp_->depth());
     if (cq_head_ == 0) cq_phase_ = !cq_phase_;
     Completion c{cqe.cid, status_of(cqe), cqe.result, cqe.dw1};
-    DPC_CHECK(c.cid < qp_->depth());
-    if (done_[c.cid].has_value()) {
-      // A CQE arrived for a cid that already holds an unconsumed completion
-      // (e.g. an abort() raced a slow CQE). Never clobber the recorded one —
-      // the slot may already belong to a resubmitted command. Count it so
-      // the "aborted cids are permanently dead" invariant is auditable.
+    const std::uint16_t slot = cid_slot(c.cid);
+    DPC_CHECK(slot < qp_->depth());
+    if (cid_gen(c.cid) != gen_[slot] || done_[slot].has_value()) {
+      // A late CQE: its command was abandoned (abort/reset bumped the
+      // slot's generation), or the slot still holds an unconsumed
+      // completion. Never deliver it — the slot may already carry a
+      // resubmitted command whose bytes the late one does not describe.
       if (late_cqes_ != nullptr) late_cqes_->add();
       ++consumed;
       continue;
     }
-    done_[c.cid] = c;
+    done_[slot] = c;
     if (traces_ != nullptr) {
-      traces_->stamp(c.cid, obs::Stage::kHostReap);
-      traces_->finish(c.cid);
+      traces_->stamp(slot, obs::Stage::kHostReap);
+      traces_->finish(slot);
     }
     if (!first.has_value()) first = c;
     ++consumed;
@@ -230,12 +245,13 @@ std::optional<Completion> IniDriver::poll() {
 }
 
 Completion IniDriver::wait(std::uint16_t cid) {
-  DPC_CHECK(cid < qp_->depth());
+  const std::uint16_t slot = cid_slot(cid);
+  DPC_CHECK(slot < qp_->depth());
   for (;;) {
     {
       sim::LockGuard lock(mu_);
-      if (done_[cid].has_value()) {
-        const Completion c = *done_[cid];
+      if (done_[slot].has_value()) {
+        const Completion c = *done_[slot];
         return c;
       }
     }
@@ -247,39 +263,43 @@ Completion IniDriver::wait(std::uint16_t cid) {
 }
 
 std::optional<Completion> IniDriver::try_take(std::uint16_t cid) {
-  DPC_CHECK(cid < qp_->depth());
+  const std::uint16_t slot = cid_slot(cid);
+  DPC_CHECK(slot < qp_->depth());
   sim::LockGuard lock(mu_);
   drain_locked();
-  return done_[cid];
+  return done_[slot];
 }
 
 std::span<const std::byte> IniDriver::read_payload(std::uint16_t cid,
                                                    std::size_t n) const {
   const pcie::MemoryRegion& host = dma_->host();
-  return host.bytes(qp_->read_buf_off(cid), n);
+  return host.bytes(qp_->read_buf_off(cid_slot(cid)), n);
 }
 
 Completion IniDriver::abort(std::uint16_t cid) {
-  DPC_CHECK(cid < qp_->depth());
+  const std::uint16_t slot = cid_slot(cid);
+  DPC_CHECK(slot < qp_->depth());
   sim::LockGuard lock(mu_);
   drain_locked();  // last chance: the completion may have just landed
-  if (done_[cid].has_value()) return *done_[cid];
+  if (done_[slot].has_value()) return *done_[slot];
   const Completion c{cid, Status::kAbortedByRequest, 0, 0};
-  done_[cid] = c;
+  done_[slot] = c;
+  fence_slot_locked(slot);
   if (timeouts_ != nullptr) timeouts_->add();
   // Clear any half-recorded trace stamps so the cid's next command starts
   // from a clean slot (finish() only records spans with both endpoints).
-  if (traces_ != nullptr) traces_->finish(cid);
+  if (traces_ != nullptr) traces_->finish(slot);
   return c;
 }
 
 void IniDriver::release(std::uint16_t cid) {
+  const std::uint16_t slot = cid_slot(cid);
   {
     sim::LockGuard lock(mu_);
-    DPC_CHECK_MSG(done_[cid].has_value(),
+    DPC_CHECK_MSG(done_[slot].has_value(),
                   "release of incomplete cid " << cid);
-    done_[cid].reset();
-    free_cids_.push_back(cid);
+    done_[slot].reset();
+    free_cids_.push_back(slot);
   }
   // One slot freed → one waiter can make progress.
   free_cv_.notify_one();
@@ -294,11 +314,13 @@ std::uint16_t IniDriver::reset() {
     // try_take → release path reclaims each slot and the retry loop
     // resubmits onto the freshly reset queue.
     std::vector<bool> is_free(qp_->depth(), false);
-    for (const std::uint16_t cid : free_cids_) is_free[cid] = true;
-    for (std::uint16_t cid = 0; cid + 1 < qp_->depth(); ++cid) {
-      if (is_free[cid] || done_[cid].has_value()) continue;
-      done_[cid] = Completion{cid, Status::kAbortedByRequest, 0, 0};
-      if (traces_ != nullptr) traces_->finish(cid);
+    for (const std::uint16_t slot : free_cids_) is_free[slot] = true;
+    for (std::uint16_t slot = 0; slot + 1 < qp_->depth(); ++slot) {
+      if (is_free[slot] || done_[slot].has_value()) continue;
+      done_[slot] = Completion{make_cid(slot, gen_[slot]),
+                               Status::kAbortedByRequest, 0, 0};
+      fence_slot_locked(slot);
+      if (traces_ != nullptr) traces_->finish(slot);
       ++aborted;
     }
     // Zero every CQE's phase-carrying dword. The ring restarts at phase 1,

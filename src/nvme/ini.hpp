@@ -54,6 +54,8 @@ class IniDriver {
   };
 
   struct Submitted {
+    /// Wire CID: slot in the low bits, slot generation on top (spec.hpp).
+    /// Every per-command call below takes this value.
     std::uint16_t cid = 0;
     sim::Nanos cost{};  ///< modelled host-side submission cost (doorbell DMA)
   };
@@ -95,10 +97,13 @@ class IniDriver {
   /// Host-side abort of a command that never completed (deadline expired).
   /// If a completion raced in, it is returned unchanged; otherwise a
   /// synthetic kAbortedByRequest completion is recorded for the cid so the
-  /// normal release() path reclaims the slot. In this reproduction the TGT
-  /// either posts a CQE or drops it permanently — a dropped command's CQE
-  /// can never arrive later — so reclaiming the cid here is safe; the
-  /// "nvme.ini/late_cqes" counter guards that invariant.
+  /// normal release() path reclaims the slot. A slow TGT may still run the
+  /// command and post its CQE later, so abort also bumps the slot's CID
+  /// generation and publishes it to the slot's fence word in DPU BAR space:
+  /// the TGT skips a command whose generation is stale (no handler, no
+  /// payload DMA), and a late CQE carrying the old generation is dropped
+  /// and counted in "nvme.ini/late_cqes" instead of completing the slot's
+  /// next command.
   Completion abort(std::uint16_t cid);
 
   /// Returns the cid's slot to the free pool and wakes one queue-full
@@ -110,7 +115,8 @@ class IniDriver {
   /// still in flight (allocated, no completion recorded) gets a synthetic
   /// kAbortedByRequest completion so its waiter unblocks and requeues
   /// through the normal retry path; the CQ ring's phase tags are zeroed so
-  /// stale entries can't read as valid once the phase wraps back to 1; the
+  /// stale entries can't read as valid once the phase wraps back to 1; each
+  /// aborted slot's generation is bumped as in abort(); the
   /// SQ/CQ indices, phase, and both doorbells return to their power-on
   /// state. Run *after* TgtDriver::reset() and only while the DPU pollers
   /// are quiesced. Returns the number of commands aborted.
@@ -119,7 +125,11 @@ class IniDriver {
   std::uint16_t inflight() const;
 
  private:
+  /// Pops a free slot and returns its wire CID (slot + generation).
   std::uint16_t alloc_cid_locked() REQUIRES(mu_);
+  /// Abandons the command in `slot`: bumps the slot's generation and
+  /// publishes it to the TGT's fence word.
+  void fence_slot_locked(std::uint16_t slot) REQUIRES(mu_);
   void build_prp(std::uint64_t buf_off, std::uint32_t len,
                  std::uint64_t list_off, std::uint64_t& prp1,
                  std::uint64_t& prp2);
@@ -148,9 +158,11 @@ class IniDriver {
   // condition_variable_any: the annotated UniqueLock is BasicLockable but
   // not std::unique_lock<std::mutex>.
   std::condition_variable_any free_cv_;  // signalled by release()
-  std::vector<std::uint16_t> free_cids_ GUARDED_BY(mu_);
-  /// Per-cid completion buffer.
+  std::vector<std::uint16_t> free_cids_ GUARDED_BY(mu_);  ///< free slots
+  /// Per-slot completion buffer.
   std::vector<std::optional<Completion>> done_ GUARDED_BY(mu_);
+  /// Per-slot CID generation (4 bits), bumped when a command is abandoned.
+  std::vector<std::uint8_t> gen_ GUARDED_BY(mu_);
   std::uint16_t sq_tail_ GUARDED_BY(mu_) = 0;
   std::uint16_t cq_head_ GUARDED_BY(mu_) = 0;
   /// Expected phase tag of the next valid CQE.

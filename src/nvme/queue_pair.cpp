@@ -12,12 +12,14 @@ QueuePair::QueuePair(const QpConfig& cfg, pcie::RegionAllocator& host,
                      pcie::RegionAllocator& dpu)
     : cfg_(cfg) {
   DPC_CHECK(cfg.depth >= 2);
+  DPC_CHECK(cfg.depth <= kCidSlotMask + 1);  // slot must fit the wire CID
   DPC_CHECK(cfg.max_write >= 1 && cfg.max_read >= 1);
 
   sq_base_ = host.alloc(std::uint64_t{cfg_.depth} * sizeof(Sqe), kPageSize);
   cq_base_ = host.alloc(std::uint64_t{cfg_.depth} * sizeof(Cqe), kPageSize);
   sq_db_ = dpu.alloc(sizeof(std::uint32_t), 64);
   cq_db_ = dpu.alloc(sizeof(std::uint32_t), 64);
+  gen_base_ = dpu.alloc(std::uint64_t{cfg_.depth} * sizeof(std::uint32_t), 64);
 
   // +kPayloadCrcBytes: a full-size payload still has room for the CRC32C
   // trailer the integrity envelope appends inside the same data DMA.
@@ -38,6 +40,11 @@ std::uint64_t QueuePair::sqe_off(std::uint16_t slot) const {
 std::uint64_t QueuePair::cqe_off(std::uint16_t slot) const {
   DPC_CHECK(slot < cfg_.depth);
   return cq_base_ + std::uint64_t{slot} * sizeof(Cqe);
+}
+
+std::uint64_t QueuePair::slot_gen_off(std::uint16_t slot) const {
+  DPC_CHECK(slot < cfg_.depth);
+  return gen_base_ + std::uint64_t{slot} * sizeof(std::uint32_t);
 }
 
 std::uint64_t QueuePair::write_buf_off(std::uint16_t cid) const {

@@ -47,6 +47,10 @@ class QueuePair {
   // Doorbell registers (DPU region).
   std::uint64_t sq_tail_db_off() const { return sq_db_; }
   std::uint64_t cq_head_db_off() const { return cq_db_; }
+  /// Per-slot fence word (DPU region): the slot's live CID generation,
+  /// written by the host only when it abandons the command in the slot.
+  /// The TGT skips any command whose generation differs.
+  std::uint64_t slot_gen_off(std::uint16_t slot) const;
 
   // Per-cid command-slot buffers (host region).
   std::uint64_t write_buf_off(std::uint16_t cid) const;
@@ -64,6 +68,7 @@ class QueuePair {
   std::uint64_t cq_base_ = 0;
   std::uint64_t sq_db_ = 0;
   std::uint64_t cq_db_ = 0;
+  std::uint64_t gen_base_ = 0;
   std::uint64_t slots_base_ = 0;
   std::uint64_t slot_stride_ = 0;
   std::uint32_t wbuf_cap_ = 0;  // page-rounded write buffer capacity

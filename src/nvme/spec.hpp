@@ -60,6 +60,26 @@ inline constexpr std::uint32_t kMaxTenants = 16;
 /// DW10 bits available to Write_len once the tenant byte is carved out.
 inline constexpr std::uint32_t kMaxWriteLen = (1u << 24) - 1;
 
+/// Wire CID layout (after Linux nvme's genctr): the low 12 bits name the
+/// command slot (queue buffers and traces index by it), the top 4 bits carry
+/// the slot's generation. The host bumps a slot's generation whenever it
+/// gives up on the command in it (abort, controller reset), so a completion
+/// or a late execution of the abandoned command can never be taken for the
+/// slot's next one.
+inline constexpr unsigned kCidSlotBits = 12;
+inline constexpr std::uint16_t kCidSlotMask = (1u << kCidSlotBits) - 1;
+inline constexpr std::uint8_t kCidGenMask = 0xF;
+constexpr std::uint16_t cid_slot(std::uint16_t cid) {
+  return cid & kCidSlotMask;
+}
+constexpr std::uint8_t cid_gen(std::uint16_t cid) {
+  return static_cast<std::uint8_t>(cid >> kCidSlotBits);
+}
+constexpr std::uint16_t make_cid(std::uint16_t slot, std::uint8_t gen) {
+  return static_cast<std::uint16_t>(
+      slot | ((gen & kCidGenMask) << kCidSlotBits));
+}
+
 /// Submission queue entry — 16 dwords / 64 bytes, as on the wire.
 struct Sqe {
   std::uint32_t dw0 = 0;        // opcode | req-type | psdt | cid

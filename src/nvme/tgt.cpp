@@ -181,7 +181,8 @@ TgtDriver::ProcessStats TgtDriver::process_available(int max) {
 
 void TgtDriver::ingest_one(const Sqe& sqe) {
   // ① happened in process_available (batched fetch).
-  if (traces_ != nullptr) traces_->stamp(cid_of(sqe), obs::Stage::kTgtFetch);
+  if (traces_ != nullptr)
+    traces_->stamp(cid_slot(cid_of(sqe)), obs::Stage::kTgtFetch);
   if (cmds_ != nullptr) cmds_->add();
 
   dpu::StagedCmd staged;
@@ -221,6 +222,16 @@ TgtDriver::ProcessStats TgtDriver::execute_one(const dpu::StagedCmd& staged,
   // The command leaves staging accounting now, on every exit path below
   // (including drop/crash — the device consumed it either way).
   if (qos_ != nullptr) qos_->on_dispatch(staged.tenant, staged.charge);
+
+  // Late-completion fence: the host gave up on this command (its slot's
+  // generation moved on), so the slot may already carry the next command.
+  // Touch none of its buffers; the abort CQE is dropped as late by the INI.
+  const std::uint16_t cid = cid_of(sqe);
+  if (fenced(cid)) {
+    post_cqe(cid, Status::kAbortedByRequest, 0, 0, cqes_posted);
+    st.processed = 1;
+    return st;
+  }
 
   // Injection: lose the command after the SQE fetch. The handler never
   // runs and no CQE is ever posted for this cid, so the host's only way
@@ -289,6 +300,11 @@ TgtDriver::ProcessStats TgtDriver::execute_one(const dpu::StagedCmd& staged,
           hres = HandlerResult{};
           hres.status = Status::kDataIntegrityError;
           if (integrity_errors_ != nullptr) integrity_errors_->add();
+        } else if (fenced(cid)) {
+          // Aborted while the pull ran: the host may have started writing
+          // the slot's next payload, so these bytes are not this command's.
+          envelope_ok = false;
+          hres.status = Status::kAbortedByRequest;
         }
         wpayload = std::span{wscratch_.data(), cmd.write_len};
       }
@@ -296,7 +312,7 @@ TgtDriver::ProcessStats TgtDriver::execute_one(const dpu::StagedCmd& staged,
       if (envelope_ok) {
         std::span<std::byte> rpayload{rscratch_.data(), cmd.read_len};
         if (traces_ != nullptr)
-          traces_->stamp(cmd.cid, obs::Stage::kDispatch);
+          traces_->stamp(cid_slot(cid), obs::Stage::kDispatch);
         try {
           hres = handler_(cmd, wpayload, rpayload);
         } catch (const fault::CrashException&) {
@@ -309,10 +325,16 @@ TgtDriver::ProcessStats TgtDriver::execute_one(const dpu::StagedCmd& staged,
           return st;
         }
         if (traces_ != nullptr)
-          traces_->stamp(cmd.cid, obs::Stage::kBackendDone);
+          traces_->stamp(cid_slot(cid), obs::Stage::kBackendDone);
       }
 
-      if (envelope_ok && cmd.read_len > 0 && hres.read_bytes > 0) {
+      const bool reply = envelope_ok && cmd.read_len > 0 &&
+                         hres.read_bytes > 0;
+      if (reply && fenced(cid)) {
+        // Aborted while the handler ran: the slot's read buffer may belong
+        // to the next command, so the reply must not land there.
+        hres.status = Status::kAbortedByRequest;
+      } else if (reply) {
         DPC_CHECK(hres.read_bytes <= cmd.read_len);
         // Stamp the read-payload trailer right behind the produced bytes;
         // it rides back in the same data DMA and the host verifies it in
@@ -368,10 +390,17 @@ TgtDriver::ProcessStats TgtDriver::execute_one(const dpu::StagedCmd& staged,
   }
   const auto dw1 = static_cast<std::uint32_t>(
       std::min<std::int64_t>(service_ns + wait.ns, UINT32_MAX));
-  post_cqe(cid_of(sqe), hres.status, hres.result, dw1, cqes_posted);
+  post_cqe(cid, hres.status, hres.result, dw1, cqes_posted);
 
   st.processed = 1;
   return st;
+}
+
+bool TgtDriver::fenced(std::uint16_t cid) const {
+  // A DPU-local register read: no PCIe traffic, no modelled time.
+  return dma_->dpu()
+             .atomic_u32(qp_->slot_gen_off(cid_slot(cid)))
+             .load(std::memory_order_acquire) != cid_gen(cid);
 }
 
 void TgtDriver::post_cqe(std::uint16_t cid, Status st, std::uint32_t result,
@@ -390,7 +419,8 @@ void TgtDriver::post_cqe(std::uint16_t cid, Status st, std::uint32_t result,
       (static_cast<std::uint32_t>(cqe.status) << 16);
   // Stamp CQE-post before the release store: the INI reads the slot only
   // after acquiring the phase tag, so the stamp is ordered-visible at reap.
-  if (traces_ != nullptr) traces_->stamp(cqe.cid, obs::Stage::kCqePost);
+  if (traces_ != nullptr)
+    traces_->stamp(cid_slot(cqe.cid), obs::Stage::kCqePost);
   host.atomic_u32(cqe_off + 12).store(last_dword, std::memory_order_release);
   if (cqe_posts_ != nullptr) cqe_posts_->add();
   ++cqes_posted;  // wire cost settles once per drain batch (caller)

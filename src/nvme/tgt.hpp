@@ -122,6 +122,9 @@ class TgtDriver {
   /// if a CQE landed — the caller settles the batch's coalesced CQE wire
   /// cost once per drain run.
   ProcessStats execute_one(const dpu::StagedCmd& staged, int& cqes_posted);
+  /// True once the host has abandoned command `cid`: its slot's fence word
+  /// (written only by the INI's abort/reset) holds a newer generation.
+  bool fenced(std::uint16_t cid) const;
   /// Posts one CQE (entry write + release-store of the phase dword).
   void post_cqe(std::uint16_t cid, Status st, std::uint32_t result,
                 std::uint32_t dw1, int& cqes_posted);

@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -297,6 +300,97 @@ TEST(ChaosIntegration, ZeroSilentCorruptionWorkerMode) {
   EXPECT_EQ(m.counter("scrub/detected").value(),
             m.counter("scrub/repaired").value() +
                 m.counter("scrub/unrecoverable").value());
+}
+
+/// A deadline shorter than a 1 MiB DFS op: most commands time out while
+/// the DPU is still running them, so their CQEs (and read replies) arrive
+/// after the host aborted, released the slot and resubmitted on it. Every
+/// read must return the chunk's last acked version, the version of a write
+/// that failed since (it may have landed), or EIO — never another
+/// command's bytes.
+TEST(ChaosIntegration, LateCompletionsNeverServeStaleBytesWorkerMode) {
+  constexpr std::size_t kChunk = 1 << 20;
+  constexpr int kChunks = 16;
+#if defined(__SANITIZE_THREAD__)
+  // Under TSan every attempt outlives the deadline; fewer ops cover it.
+  constexpr int kOps = 40;
+#else
+  constexpr int kOps = 240;
+#endif
+  DpcOptions o;
+  o.queues = 1;
+  o.queue_depth = 8;
+  o.enable_cache = false;
+  o.with_dfs = true;
+  o.dpu_workers = 1;
+  o.nvme_timeout_ms = 1;
+  DpcSystem sys(o);
+  const auto f = sys.dfs_create("/late", kChunks * kChunk);
+  ASSERT_TRUE(f.ok());
+
+  // Every 8-byte word of a chunk's payload names (chunk, version).
+  const auto payload = [&](int chunk, std::uint32_t version) {
+    std::vector<std::uint64_t> w(kChunk / 8,
+                                 std::uint64_t{static_cast<unsigned>(chunk)}
+                                         << 32 |
+                                     version);
+    std::vector<std::byte> b(kChunk);
+    std::memcpy(b.data(), w.data(), kChunk);
+    return b;
+  };
+  std::vector<std::uint32_t> acked(kChunks, 0);
+  std::vector<std::set<std::uint32_t>> failed(kChunks);
+  for (int c = 0; c < kChunks; ++c)  // pump mode: no deadline, all acked
+    ASSERT_TRUE(sys.dfs_write(f.ino, c * kChunk, payload(c, 0)).ok());
+
+  sys.start_dpu();
+  sim::Rng rng(chaos_seed() ^ 0x1a7e);
+  std::uint32_t next_version = 1;
+  int wrong = 0;
+  int eio = 0;
+  std::vector<std::byte> dst(kChunk);
+  for (int op = 0; op < kOps; ++op) {
+    const int c = static_cast<int>(rng.next_below(kChunks));
+    const std::uint64_t off = static_cast<std::uint64_t>(c) * kChunk;
+    if (rng.next_below(2) == 0) {
+      const std::uint32_t v = next_version++;
+      if (sys.dfs_write(f.ino, off, payload(c, v)).ok()) {
+        acked[c] = v;
+        failed[c].clear();
+      } else {
+        failed[c].insert(v);
+      }
+      continue;
+    }
+    const auto r = sys.dfs_read(f.ino, off, dst);
+    if (!r.ok()) {
+      ++eio;
+      continue;
+    }
+    std::uint64_t first = 0;
+    std::memcpy(&first, dst.data(), 8);
+    const auto chunk = static_cast<int>(first >> 32);
+    const auto version = static_cast<std::uint32_t>(first);
+    const bool uniform = dst == payload(chunk, version);
+    if (r.bytes != kChunk || !uniform || chunk != c ||
+        (version != acked[c] && failed[c].count(version) == 0)) {
+      ADD_FAILURE() << "op " << op << ": read of chunk " << c << " returned "
+                    << (uniform ? "" : "mixed bytes starting with ")
+                    << "chunk " << chunk << " version " << version
+                    << " (last acked " << acked[c] << ")";
+      if (++wrong >= 5) break;
+    }
+  }
+  sys.stop_dpu();
+  auto& m = sys.metrics();
+  std::printf("late-completion run: %d ops, %d EIO, %llu timeouts, %llu "
+              "late CQEs\n",
+              kOps, eio,
+              static_cast<unsigned long long>(
+                  m.counter("nvme.ini/timeouts").value()),
+              static_cast<unsigned long long>(
+                  m.counter("nvme.ini/late_cqes").value()));
+  EXPECT_EQ(wrong, 0);
 }
 
 TEST(ChaosIntegration, BreakerOpensUnderBlackoutAndRecovers) {

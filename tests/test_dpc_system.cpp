@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <thread>
 
+#include "fault/injector.hpp"
+#include "nvme/tgt.hpp"
 #include "sim/rng.hpp"
 
 namespace dpc::core {
@@ -613,6 +615,72 @@ TEST(DpcSystem, LargeSegmentedIo) {
   const auto rt = sys.read(c.ino, 200 * 1024, tail, true);
   ASSERT_TRUE(rt.ok());
   EXPECT_EQ(rt.bytes, 100u * 1024);
+}
+
+/// The host copies a payload once between the caller's span and the queue
+/// slot: a read's verified reply goes straight into dst, a write's source
+/// straight into the slot.
+TEST(DpcSystem, LargeIoCopiesPayloadOncePerDirection) {
+  constexpr std::size_t kMiB = 1 << 20;
+  auto o = small_opts();
+  o.max_io = kMiB;
+  DpcSystem sys(o);
+  obs::Counter& copied = sys.metrics().counter("nvme.host/payload_copy_bytes");
+  const auto data = bytes(kMiB, 77);
+  std::vector<std::byte> out(kMiB);
+  std::uint64_t mark = 0;
+  const auto copied_since_mark = [&] {
+    const std::uint64_t n = copied.value() - mark;
+    mark = copied.value();
+    return n;
+  };
+
+  const auto d = sys.dfs_create("/dfs/big", 4 * kMiB);
+  ASSERT_TRUE(d.ok());
+  copied_since_mark();
+  ASSERT_TRUE(sys.dfs_write(d.ino, 0, data).ok());
+  EXPECT_EQ(copied_since_mark(), kMiB) << "dfs_write";
+  ASSERT_TRUE(sys.dfs_read(d.ino, 0, out).ok());
+  EXPECT_EQ(copied_since_mark(), kMiB) << "dfs_read";
+  EXPECT_EQ(out, data);
+
+  const auto k = sys.create(kvfs::kRootIno, "big");
+  ASSERT_TRUE(k.ok());
+  std::fill(out.begin(), out.end(), std::byte{0});
+  copied_since_mark();
+  ASSERT_TRUE(sys.write(k.ino, 0, data, /*direct=*/true).ok());
+  EXPECT_EQ(copied_since_mark(), kMiB) << "DIRECT_IO write";
+  ASSERT_TRUE(sys.read(k.ino, 0, out, /*direct=*/true).ok());
+  EXPECT_EQ(copied_since_mark(), kMiB) << "DIRECT_IO read";
+  EXPECT_EQ(out, data);
+}
+
+/// A reply that fails the host's trailer check never reaches the caller:
+/// the read fails with EIO and dst keeps every byte it had.
+TEST(DpcSystem, CorruptReadReplyLeavesDstUntouched) {
+  obs::Registry fault_reg;
+  fault::FaultInjector fi(5, &fault_reg);
+  auto o = small_opts();
+  o.fault = &fi;
+  DpcSystem sys(o);
+  const auto data = bytes(64 * 1024, 3);
+  const auto k = sys.create(kvfs::kRootIno, "rot");
+  ASSERT_TRUE(sys.write(k.ino, 0, data, true).ok());
+  const auto d = sys.dfs_create("/dfs/rot", 1 << 20);
+  ASSERT_TRUE(sys.dfs_write(d.ino, 0, data).ok());
+
+  obs::Counter& copied = sys.metrics().counter("nvme.host/payload_copy_bytes");
+  const std::uint64_t copied_before = copied.value();
+  fi.arm(nvme::kFaultTgtCorruptRead, 1.0);
+  const std::vector<std::byte> sentinel(data.size(), std::byte{0xEE});
+  std::vector<std::byte> out = sentinel;
+  EXPECT_EQ(sys.read(k.ino, 0, out, true).err, EIO);
+  EXPECT_EQ(out, sentinel);
+  EXPECT_EQ(sys.dfs_read(d.ino, 0, out).err, EIO);
+  EXPECT_EQ(out, sentinel);
+  fi.disarm(nvme::kFaultTgtCorruptRead);
+  EXPECT_EQ(sys.metrics().counter("nvme.host/integrity_errors").value(), 2u);
+  EXPECT_EQ(copied.value(), copied_before) << "a failed read copied bytes";
 }
 
 TEST(DpcSystem, HardLinkOverNvmeFs) {

@@ -542,11 +542,16 @@ TEST(Crc32c, AllBackendsAgreeAcrossSizesAndSeeds) {
   // Cross-check the dispatched backend (hardware when the CPU has SSE4.2)
   // against both software paths, across every 8-byte-remainder class, with
   // unaligned starts and nonzero seeds.
+  // 767..769 straddle the 3x256 B round, 24575..24577 the 3x8 KiB round;
+  // 1 MiB+7 runs every round and both tails.
   sim::Rng rng(7);
-  std::vector<std::byte> buf(4096 + 64);
+  std::vector<std::byte> buf((1 << 20) + 7 + 64);
   for (auto& b : buf) b = static_cast<std::byte>(rng.next_below(256));
-  const std::size_t sizes[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17,
-                               63, 64, 65, 511, 512, 1000, 4096};
+  const std::size_t sizes[] = {0,     1,     2,     3,     7,    8,
+                               9,     15,    16,    17,    63,   64,
+                               65,    511,   512,   767,   768,  769,
+                               1000,  4096,  8192,  24575, 24576, 24577,
+                               (1 << 20) + 7};
   for (const std::size_t size : sizes) {
     for (const std::size_t align : {std::size_t{0}, std::size_t{1},
                                     std::size_t{3}, std::size_t{5}}) {
@@ -559,6 +564,23 @@ TEST(Crc32c, AllBackendsAgreeAcrossSizesAndSeeds) {
       }
     }
   }
+}
+
+TEST(Crc32c, ChainSplitAtThreeStreamBoundary) {
+  // One payload checksummed in pieces whose seams fall at and just past a
+  // 3x8 KiB round: each call restarts the 3-stream kernel from a seed, so
+  // the joins must compose exactly like the single pass.
+  sim::Rng rng(11);
+  std::vector<std::byte> buf(3 * 24576 + 1000);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next_below(256));
+  const std::span<const std::byte> all(buf);
+  const auto ref = crc32c_bytewise(all, 0x1234u);
+  std::uint32_t c = 0x1234u;
+  c = crc32c(all.first(24576), c);
+  c = crc32c(all.subspan(24576, 24576 + 769), c);
+  c = crc32c(all.subspan(2 * 24576 + 769), c);
+  EXPECT_EQ(c, ref);
+  EXPECT_EQ(crc32c(all, 0x1234u), ref);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // accounting under concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -278,9 +280,15 @@ TEST(NvmeIniStress, BatchSubmitRacesAbortKeepsCidsClean) {
   ASSERT_EQ(batch.cids.size(), 2u);
   // The free list is LIFO and s2's release may land before the parked
   // batcher wakes, so cid order is interleaving-dependent — what matters
-  // is that the aborted cid was reissued to the batch at all.
-  EXPECT_TRUE(batch.cids[0] == s1.cid || batch.cids[1] == s1.cid)
-      << "aborted cid never reissued to the batch";
+  // is that the aborted slot was reissued to the batch at all, under a new
+  // CID generation (the abort fenced the old one).
+  const auto slot1 = nvme::cid_slot(s1.cid);
+  const int reissued = nvme::cid_slot(batch.cids[0]) == slot1 ? 0
+                       : nvme::cid_slot(batch.cids[1]) == slot1 ? 1
+                                                                : -1;
+  ASSERT_NE(reissued, -1) << "aborted slot never reissued to the batch";
+  EXPECT_NE(batch.cids[static_cast<std::size_t>(reissued)], s1.cid)
+      << "aborted slot reissued under its old generation";
 
   EXPECT_EQ(ini.wait(s3.cid).status, nvme::Status::kSuccess);
   ini.release(s3.cid);
@@ -317,6 +325,96 @@ TEST(NvmeIniStress, BatchSubmitRacesAbortKeepsCidsClean) {
     ini.release(s.cid);
   }
   EXPECT_EQ(reg.counter("nvme.ini/late_cqes").load(), 1u);
+}
+
+/// Late completion on a reused slot: a command the host aborted and whose
+/// slot it released must never complete, or write its reply into, the
+/// slot's next command. Both abort windows are driven deterministically:
+/// before the TGT fetched the command (it must be skipped outright), and
+/// while its handler runs (its reply must stay out of the slot).
+TEST(NvmeIniStress, LateCompletionNeverLandsOnReusedSlot) {
+  pcie::MemoryRegion host("host", 8 << 20);
+  pcie::RegionAllocator halloc(host);
+  pcie::MemoryRegion dpu("dpu", 1 << 20);
+  pcie::RegionAllocator dalloc(dpu);
+  pcie::DmaEngine dma(host, dpu);
+
+  nvme::QpConfig qc;
+  qc.depth = 4;
+  nvme::QueuePair qp(qc, halloc, dalloc);
+  obs::Registry reg;
+  obs::QueueTraces traces(reg, qc.depth);
+  nvme::IniDriver ini(dma, qp, &traces);
+
+  constexpr std::uint32_t kLen = 4096;
+  nvme::IniDriver::Request req;
+  req.inline_op = nvme::InlineOp::kRead;
+  req.read_data_cap = kLen;
+  // Each command's reply is kLen bytes of its inode's low byte; the CQE
+  // result is the inode. `on_run` lets a handler act mid-command.
+  std::vector<std::uint64_t> ran;
+  std::function<void(std::uint64_t)> on_run;
+  nvme::TgtDriver tgt(dma, qp,
+                      [&](const nvme::NvmeFsCmd& cmd,
+                          std::span<const std::byte>,
+                          std::span<std::byte> out) {
+                        ran.push_back(cmd.inode);
+                        if (on_run) on_run(cmd.inode);
+                        std::fill(out.begin(), out.end(),
+                                  static_cast<std::byte>(cmd.inode));
+                        nvme::HandlerResult r;
+                        r.result = static_cast<std::uint32_t>(cmd.inode);
+                        r.read_bytes = kLen;
+                        return r;
+                      },
+                      &traces);
+  const auto expect_own = [&](std::uint16_t cid, std::uint64_t ino) {
+    const nvme::Completion c = ini.wait(cid);
+    EXPECT_EQ(c.status, nvme::Status::kSuccess);
+    EXPECT_EQ(c.result, ino) << "completed with another command's CQE";
+    const auto payload = ini.read_payload(cid, kLen);
+    EXPECT_TRUE(std::all_of(payload.begin(), payload.end(), [&](auto b) {
+      return b == static_cast<std::byte>(ino);
+    })) << "slot holds another command's reply";
+    ini.release(cid);
+  };
+
+  // Window 1: A is aborted while still in the SQ.
+  req.inode = 0xA1;
+  const auto a = ini.submit(req);
+  EXPECT_EQ(ini.abort(a.cid).status, nvme::Status::kAbortedByRequest);
+  ini.release(a.cid);
+  req.inode = 0xB1;
+  const auto b = ini.submit(req);
+  ASSERT_EQ(nvme::cid_slot(b.cid), nvme::cid_slot(a.cid));  // LIFO reuse
+  tgt.process_available();
+  expect_own(b.cid, 0xB1);
+  EXPECT_EQ(ran, std::vector<std::uint64_t>({0xB1}))
+      << "the aborted command's handler ran";
+
+  // Window 2: A is aborted, released and its slot resubmitted while A's
+  // handler runs (a slow DPU); B is queued behind it on the same slot.
+  ran.clear();
+  std::uint16_t a2 = 0;
+  std::uint16_t b2 = 0;
+  on_run = [&](std::uint64_t ino) {
+    if (ino != 0xA2) return;
+    const nvme::Completion ab = ini.abort(a2);
+    EXPECT_EQ(ab.status, nvme::Status::kAbortedByRequest);
+    ini.release(a2);
+    req.inode = 0xB2;
+    b2 = ini.submit(req).cid;
+  };
+  req.inode = 0xA2;
+  a2 = ini.submit(req).cid;
+  tgt.process_available();
+  ASSERT_EQ(nvme::cid_slot(b2), nvme::cid_slot(a2));
+  expect_own(b2, 0xB2);
+  EXPECT_EQ(ran, std::vector<std::uint64_t>({0xA2, 0xB2}));
+
+  // Both abandoned commands' CQEs arrived and were dropped as late.
+  EXPECT_EQ(reg.counter("nvme.ini/late_cqes").load(), 2u);
+  EXPECT_EQ(ini.inflight(), 0);
 }
 
 /// Single-threaded soak on a depth-4 queue: 400 ops force ~100 full ring
