@@ -19,6 +19,12 @@
 #            counters gated against bench/baselines/. Runs looser than the
 #            10% default because CI shares a single-core VM (see
 #            EXPERIMENTS.md "Refreshing perf baselines").
+#   bench-smoke — perfbench/run.py, exactly as BENCHMARK.json declares it:
+#            builds dpc_perfbench from this checkout and runs every declared
+#            workload for 2 s (seed 1, tracing off). Each run must exit 0
+#            (its build, oracle and fsck passed) and print a JSON object as
+#            its last stdout line. Catches a src/ change that breaks the
+#            benchmark before anyone measures with it.
 #   tsan   — ThreadSanitizer build + full test suite. DPC_LOCKRANK defaults
 #            on under TSan, so this leg also runs the runtime lock-order
 #            detector across every test.
@@ -139,6 +145,21 @@ echo "=== regress stage ==="
 # hardware). A deliberate 2x slowdown lands at +100% and still fails; the
 # figure-suite counters are deterministic and unaffected by the threshold.
 ./bench/regress --threshold 0.35 --retries 2
+
+echo "=== bench-smoke stage ==="
+mapfile -t BENCH_WORKLOADS < <(python3 -c 'import json
+for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')
+if ((${#BENCH_WORKLOADS[@]} == 0)); then
+  echo "ci: BENCHMARK.json declares no workloads" >&2
+  exit 1
+fi
+for w in "${BENCH_WORKLOADS[@]}"; do
+  echo "--- perfbench $w ---"
+  out="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 \
+    --trace 0)"
+  printf '%s\n' "$out" | tail -n 1 | python3 -c 'import json, sys
+assert isinstance(json.loads(sys.stdin.read()), dict), "not a JSON object"'
+done
 
 echo "=== tsan build ==="
 cmake -B build-tsan -S . -DDPC_SANITIZE=thread >/dev/null

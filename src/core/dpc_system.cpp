@@ -113,7 +113,7 @@ DpcSystem::DpcSystem(const DpcOptions& opts)
 
   // Backends.
   if (opts.shared_store == nullptr) {
-    kv_store_ = std::make_unique<kv::KvStore>(opts.kv_shards);
+    kv_store_ = std::make_unique<kv::KvStore>();
   }
   kv::KvStore& store =
       opts.shared_store != nullptr ? *opts.shared_store : *kv_store_;

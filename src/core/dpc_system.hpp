@@ -59,7 +59,6 @@ struct DpcOptions {
   cache::CacheGeometry cache_geo{4096, cache::CacheMode::kWrite, 4096, 256};
   cache::ControlPlaneConfig cache_ctl{};
   kvfs::KvfsOptions kvfs{};
-  int kv_shards = 0;  // 0 = per-core (see KvStore)
   bool with_dfs = true;
   int dpu_workers = 2;
   /// Mount against an existing disaggregated KV store instead of creating

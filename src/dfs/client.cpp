@@ -73,6 +73,13 @@ void DfsClient::charge_client_cpu(OpProfile& prof, bool data_op,
   }
 }
 
+void DfsClient::charge_decode(OpProfile& prof, std::uint64_t bytes) const {
+  if (cfg_.on_dpu)
+    prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(bytes);
+  else
+    prof.host_cpu += ec::ReedSolomon::host_encode_cost(bytes);
+}
+
 std::optional<FileMeta> DfsClient::meta_of(Ino ino, OpProfile& prof) {
   if (cfg_.view_routing) {
     sim::LockGuard lock(mu_);
@@ -205,10 +212,7 @@ IoResult DfsClient::read(Ino ino, std::uint64_t offset,
           // The hedge won via degraded decode — charge it where the client
           // runs, same as the serial reconstruct path below.
           stats_.degraded_reads.add();
-          if (cfg_.on_dpu)
-            res.prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(dst.size());
-          else
-            res.prof.host_cpu += ec::ReedSolomon::host_encode_cost(dst.size());
+          charge_decode(res.prof, dst.size());
         }
       } else {
         done = striped_read(*ds_, *meta, offset, dst, res.prof);
@@ -223,12 +227,7 @@ IoResult DfsClient::read(Ino ino, std::uint64_t offset,
           done = striped_read_reconstruct(*ds_, rs_, *meta, offset, dst,
                                           res.prof);
           if (done) {
-            // Decode compute lands where the client runs.
-            if (cfg_.on_dpu)
-              res.prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(dst.size());
-            else
-              res.prof.host_cpu +=
-                  ec::ReedSolomon::host_encode_cost(dst.size());
+            charge_decode(res.prof, dst.size());
             break;
           }
           res.prof.net += cfg_.retry.backoff(attempt, salt);
@@ -357,11 +356,7 @@ IoResult DfsClient::read_degraded(Ino ino, std::uint64_t offset,
     res.transient = fault::Transient::kTimeout;
     return res;
   }
-  // Reconstruction compute lands where the client runs.
-  if (cfg_.on_dpu)
-    res.prof.dpu_cpu += ec::ReedSolomon::dpu_encode_cost(dst.size());
-  else
-    res.prof.host_cpu += ec::ReedSolomon::host_encode_cost(dst.size());
+  charge_decode(res.prof, dst.size());
   res.bytes = static_cast<std::uint32_t>(dst.size());
   return res;
 }

@@ -151,6 +151,8 @@ class DfsClient {
   void charge_client_cpu(OpProfile& prof, bool data_op,
                          std::uint32_t payload_bytes,
                          bool is_write = false) const;
+  /// Charges RS decode of `bytes` to the CPU the client runs on.
+  void charge_decode(OpProfile& prof, std::uint64_t bytes) const;
   /// Cached metadata (optimized/DPC keep a meta cache; standard re-stats).
   std::optional<FileMeta> meta_of(Ino ino, OpProfile& prof);
   bool ensure_delegation(Ino ino, OpProfile& prof);

@@ -158,11 +158,6 @@ constexpr Nanos nvm_transfer(std::uint64_t bytes) {
   return Nanos{static_cast<std::int64_t>(
       static_cast<double>(bytes) / (kNvmGBps * 1e9) * 1e9)};
 }
-/// Full modelled cost of persisting `bytes` to the log: media write +
-/// streaming transfer + one persistence fence.
-constexpr Nanos nvm_persist_cost(std::uint64_t bytes) {
-  return kNvmWriteLat + nvm_transfer(bytes) + kNvmPersistFence;
-}
 
 // ----------------------------------------------------------- Ext4 baseline
 /// Per-op kernel work of the Ext4 + block-layer stack (bio assembly, blk-mq,

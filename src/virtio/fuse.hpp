@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <vector>
+#include <type_traits>
 
 #include "sim/check.hpp"
 
@@ -32,8 +32,6 @@ enum class FuseOpcode : std::uint32_t {
   kCreate = 35,
   kDestroy = 38,
 };
-
-const char* to_string(FuseOpcode op);
 
 struct FuseInHeader {
   std::uint32_t len = 0;       ///< total request bytes incl. this header
@@ -80,15 +78,6 @@ struct FuseWriteOut {
   std::uint32_t size = 0;
   std::uint32_t padding = 0;
 };
-
-/// Serialization helper: append a trivially-copyable struct to a buffer.
-template <typename T>
-void append_pod(std::vector<std::byte>& buf, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto at = buf.size();
-  buf.resize(at + sizeof(T));
-  std::memcpy(buf.data() + at, &v, sizeof(T));
-}
 
 /// Deserialization helper: read a struct at `off`, checking bounds.
 template <typename T>

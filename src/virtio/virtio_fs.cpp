@@ -135,12 +135,6 @@ bool VirtioFsGuest::try_wait(const FuseTicket& ticket, FuseReplyView* out) {
   return true;
 }
 
-FuseReplyView VirtioFsGuest::wait(const FuseTicket& ticket) {
-  FuseReplyView view;
-  while (!try_wait(ticket, &view)) std::this_thread::yield();
-  return view;
-}
-
 void VirtioFsGuest::release(const FuseTicket& ticket) {
   sim::LockGuard lock(mu_);
   Slot& slot = slots_[ticket.slot];

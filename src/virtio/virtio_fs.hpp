@@ -67,9 +67,6 @@ class VirtioFsGuest {
   /// Reaps one completion if available.
   std::optional<FuseTicket> poll();
 
-  /// Spins until `ticket` completes; returns a view of the reply.
-  FuseReplyView wait(const FuseTicket& ticket);
-
   /// Non-blocking: reaps at most one used element, then reports whether
   /// `ticket` is complete (filling `out` if so).
   bool try_wait(const FuseTicket& ticket, FuseReplyView* out);

@@ -133,11 +133,6 @@ VirtqueueDevice::VirtqueueDevice(pcie::DmaEngine& dma,
                                  const VirtqueueLayout& layout)
     : dma_(&dma), layout_(&layout) {}
 
-bool VirtqueueDevice::kicked() const {
-  return dma_->dpu().atomic_u32(layout_->notify_off())
-             .load(std::memory_order_acquire) != 0;
-}
-
 std::optional<VirtqueueDevice::PoppedChain> VirtqueueDevice::pop(
     sim::Nanos* cost_out) {
   sim::Nanos cost{};

@@ -114,10 +114,6 @@ class VirtqueueDevice {
  public:
   VirtqueueDevice(pcie::DmaEngine& dma, const VirtqueueLayout& layout);
 
-  /// Checks avail->idx (one descriptor-class DMA when polled). Returns true
-  /// if a chain is pending. Cheap local check of the notify doorbell first.
-  bool kicked() const;
-
   struct PoppedChain {
     std::uint16_t head = 0;
     std::vector<ChainSegment> segments;
